@@ -39,26 +39,26 @@
 
 #include "src/cluster/auditor.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/federated_source.h"
+#include "src/cluster/oracle.h"
 #include "src/cluster/tamper.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace {
 
 using pass::cluster::AuditOptions;
 using pass::cluster::AuditReport;
 using pass::cluster::Auditor;
+using pass::cluster::CheckFederatedMatchesMerged;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::FederatedSource;
 using pass::cluster::TamperClass;
 using pass::cluster::TamperClassName;
 using pass::cluster::TamperFs;
 using pass::cluster::TamperKind;
 using pass::cluster::TamperKindName;
 using pass::cluster::TamperSite;
+using pass::workloads::WriteLineageChain;
 
 ClusterOptions Options(int shards, uint64_t seed) {
   ClusterOptions options;
@@ -75,17 +75,9 @@ ClusterOptions Options(int shards, uint64_t seed) {
 // just journals.
 void BuildWorkload(ClusterCoordinator* cluster, int files,
                    bool with_unsynced_log = true) {
-  std::vector<pass::core::ObjectRef> refs;
-  for (int i = 0; i < files; ++i) {
-    std::vector<pass::core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster->WriteWithLineage(i % 2, "/f" + std::to_string(i),
-                                         std::string(128, 'd'), sources);
-    PASS_CHECK(ref.ok());
-    refs.push_back(*ref);
-  }
+  auto refs = WriteLineageChain(cluster, files, /*spread=*/2,
+                                std::string(128, 'd'));
+  PASS_CHECK(refs.ok());
   PASS_CHECK(cluster->Sync().ok());
   pass::core::PnodeRange range{
       pass::core::ShardSpace(0).begin,
@@ -93,42 +85,16 @@ void BuildWorkload(ClusterCoordinator* cluster, int files,
   PASS_CHECK(cluster->MigrateRange(range, cluster->shard_count() - 1).ok());
   if (with_unsynced_log) {
     PASS_CHECK(
-        cluster->WriteWithLineage(0, "/tail", "unsynced", {refs.back()})
+        cluster->WriteWithLineage(0, "/tail", "unsynced", {refs->back()})
             .ok());
     PASS_CHECK(cluster->machine(0).volume()->ForceRotate().ok());
   }
 }
 
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-bool FederatedMatchesMerged(ClusterCoordinator* cluster, int files) {
-  const std::string query =
-      "select Ancestor from Provenance.file as F F.input* as Ancestor "
-      "where F.name = \"/f" + std::to_string(files - 1) + "\"";
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  pass::pql::Engine federated_engine(&federated);
-  auto federated_result = federated_engine.Run(query);
-  PASS_CHECK(federated_result.ok());
-  pass::waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
-  return !federated_result->rows.empty() &&
-         Rows(*federated_result) == Rows(*merged_result);
+// The ancestry closure of the chain's tail: the federated == merged probe.
+std::string TailAncestry(int files) {
+  return "select Ancestor from Provenance.file as F F.input* as Ancestor "
+         "where F.name = \"/f" + std::to_string(files - 1) + "\"";
 }
 
 TamperClass ExpectedClass(TamperKind kind) {
@@ -198,7 +164,8 @@ int main(int argc, char** argv) {
       AuditReport audit = auditor.AuditAll();
       PASS_CHECK(audit.clean());  // gate: zero findings on a clean run
       false_positives += audit.findings.size();
-      bool match = FederatedMatchesMerged(&cluster, n);
+      bool match =
+          CheckFederatedMatchesMerged(&cluster, {TailAncestry(n)}).ok();
       PASS_CHECK(match);  // gate: federated == merged, untampered
       all_match = all_match && match;
       std::printf("  %3d files x %d shards: %llu files, %llu frames, "
@@ -287,7 +254,8 @@ int main(int argc, char** argv) {
       PASS_CHECK(report.clean());  // gate: crash + recovery is not tampering
       PASS_CHECK(report.custody_records_verified > 0);
       false_positives += report.findings.size();
-      bool match = FederatedMatchesMerged(&cluster, files);
+      bool match =
+          CheckFederatedMatchesMerged(&cluster, {TailAncestry(files)}).ok();
       PASS_CHECK(match);
       all_match = all_match && match;
       std::printf("  crash_recover x %d shards: %llu custody records "

@@ -5,22 +5,23 @@
 // and elapsed virtual time — the batching-vs-RTT tradeoff — then verifies
 // that a federated ancestry query equals the merged single-database run.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
+#include "src/cluster/oracle.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace {
 
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
 using pass::cluster::FederatedSource;
+using pass::cluster::MergedRows;
+using pass::workloads::WriteLineageChain;
 
 constexpr int kChainFiles = 96;  // cross-shard lineage chain length
 
@@ -40,21 +41,6 @@ struct RunResult {
   bool federated_matches_merged = false;
 };
 
-// Render a result as a sorted bag of row strings for comparison.
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 RunResult Run(int shards, size_t batch_records) {
   ClusterOptions options;
   options.shards = shards;
@@ -68,18 +54,9 @@ RunResult Run(int shards, size_t batch_records) {
   // Identical workload at every configuration: a lineage chain hopping
   // round-robin across the shards, so (shards-1)/shards of the edges cross
   // a machine boundary.
-  std::vector<pass::core::ObjectRef> refs;
-  for (int i = 0; i < kChainFiles; ++i) {
-    int shard = i % shards;
-    std::vector<pass::core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster.WriteWithLineage(shard, "/f" + std::to_string(i),
-                                        std::string(512, 'd'), sources);
-    PASS_CHECK(ref.ok());
-    refs.push_back(*ref);
-  }
+  PASS_CHECK(WriteLineageChain(&cluster, kChainFiles, shards,
+                               std::string(512, 'd'))
+                 .ok());
 
   RunResult out;
   double before = cluster.env().clock().seconds();
@@ -104,12 +81,8 @@ RunResult Run(int shards, size_t batch_records) {
   auto federated_result = federated_engine.Run(query);
   PASS_CHECK(federated_result.ok());
 
-  pass::waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
+  auto merged_rows = MergedRows(cluster, query);
+  PASS_CHECK(merged_rows.ok());
 
   out.query_rows = federated_result->rows.size();
   out.query_remote_ops = federated.stats().remote_ops;
@@ -117,8 +90,7 @@ RunResult Run(int shards, size_t batch_records) {
   out.query_resp_bytes = federated.stats().remote_response_bytes;
   out.query_local_bytes = federated.stats().local_bytes;
   out.query_cache_hits = federated.stats().cache_hits;
-  out.federated_matches_merged =
-      Rows(*federated_result) == Rows(*merged_result);
+  out.federated_matches_merged = federated_result->RowKeys() == *merged_rows;
   return out;
 }
 

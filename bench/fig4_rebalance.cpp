@@ -24,52 +24,21 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
-#include "src/cluster/federated_source.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
+#include "src/cluster/oracle.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace {
 
 using pass::cluster::ClusterCoordinator;
+using pass::cluster::CheckFederatedMatchesMerged;
 using pass::cluster::ClusterOptions;
-using pass::cluster::FederatedSource;
 using pass::cluster::RebalanceReport;
 using pass::cluster::ShardSize;
+using pass::workloads::WriteLineageChain;
 
 constexpr int kShards = 4;
 constexpr double kThreshold = 1.5;
-
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-bool FederatedMatchesMerged(ClusterCoordinator* cluster,
-                            const std::string& query) {
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  pass::pql::Engine federated_engine(&federated);
-  auto federated_result = federated_engine.Run(query);
-  PASS_CHECK(federated_result.ok());
-
-  pass::waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
-  return !federated_result->rows.empty() &&
-         Rows(*federated_result) == Rows(*merged_result);
-}
 
 void PrintSizes(const char* phase, const std::vector<ShardSize>& sizes) {
   std::printf("%-8s", phase);
@@ -118,17 +87,9 @@ int main(int argc, char** argv) {
   ClusterCoordinator cluster(options);
 
   // Skewed workload: one long lineage chain entirely on shard 0...
-  std::vector<pass::core::ObjectRef> refs;
-  for (int i = 0; i < hot_files; ++i) {
-    std::vector<pass::core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster.WriteWithLineage(0, "/hot" + std::to_string(i),
-                                        std::string(256, 'h'), sources);
-    PASS_CHECK(ref.ok());
-    refs.push_back(*ref);
-  }
+  PASS_CHECK(WriteLineageChain(&cluster, hot_files, /*spread=*/1,
+                               std::string(256, 'h'), "/hot")
+                 .ok());
   // ...plus a trickle on the other shards.
   for (int shard = 1; shard < kShards; ++shard) {
     for (int i = 0; i < cold_files; ++i) {
@@ -151,7 +112,7 @@ int main(int argc, char** argv) {
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/hot" +
       std::to_string(hot_files - 1) + "\"";
-  PASS_CHECK(FederatedMatchesMerged(&cluster, query));
+  PASS_CHECK(CheckFederatedMatchesMerged(&cluster, {query}).ok());
 
   uint64_t trips_before = cluster.network().stats().round_trips;
   double seconds_before = cluster.env().clock().seconds();
@@ -181,7 +142,7 @@ int main(int argc, char** argv) {
   // The unified accounting agrees with the per-migration reports.
   PASS_CHECK(ingest.migrate_bytes == migration.bytes);
 
-  bool match = FederatedMatchesMerged(&cluster, query);
+  bool match = CheckFederatedMatchesMerged(&cluster, {query}).ok();
   std::printf("federated ancestry query %s the merged single-db answer\n",
               match ? "matches" : "DOES NOT match");
 

@@ -20,24 +20,21 @@
 //   csv,recovery_summary,files,sync_points,migration_points,
 //       batches_redelivered,entries_reapplied,rolled_forward,aborted,match
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "src/cluster/cluster.h"
-#include "src/cluster/federated_source.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
+#include "src/cluster/oracle.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace {
 
+using pass::cluster::CheckFederatedMatchesMerged;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::ClusterRecoveryReport;
-using pass::cluster::FederatedSource;
+using pass::workloads::WriteLineageChain;
 
 constexpr int kShards = 3;
 
@@ -48,52 +45,11 @@ ClusterOptions Options() {
   return options;
 }
 
-// Cross-shard lineage chain between shards 0 and 1; shard 2 stays cold so
-// the migration below moves rows nothing was replicated to.
-void RunWorkload(ClusterCoordinator* cluster, int files) {
-  std::vector<pass::core::ObjectRef> refs;
-  for (int i = 0; i < files; ++i) {
-    std::vector<pass::core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster->WriteWithLineage(i % 2, "/f" + std::to_string(i),
-                                         std::string(128, 'd'), sources);
-    PASS_CHECK(ref.ok());
-    refs.push_back(*ref);
-  }
-}
-
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-bool FederatedMatchesMerged(ClusterCoordinator* cluster,
-                            const std::string& query) {
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  pass::pql::Engine federated_engine(&federated);
-  auto federated_result = federated_engine.Run(query);
-  PASS_CHECK(federated_result.ok());
-
-  pass::waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
-  return !federated_result->rows.empty() &&
-         Rows(*federated_result) == Rows(*merged_result);
-}
+// Every run writes one cross-shard lineage chain between shards 0 and 1;
+// shard 2 stays cold so the migration below moves rows nothing was
+// replicated to.
+constexpr int kChainSpread = 2;
+const std::string kPayload(128, 'd');
 
 }  // namespace
 
@@ -114,11 +70,12 @@ int main(int argc, char** argv) {
   uint64_t sync_points = 0;
   {
     ClusterCoordinator clean(Options());
-    RunWorkload(&clean, files);
+    PASS_CHECK(
+        WriteLineageChain(&clean, files, kChainSpread, kPayload).ok());
     uint64_t before = clean.env().crash_points_passed();
     PASS_CHECK(clean.Sync().ok());
     sync_points = clean.env().crash_points_passed() - before;
-    PASS_CHECK(FederatedMatchesMerged(&clean, query));
+    PASS_CHECK(CheckFederatedMatchesMerged(&clean, {query}).ok());
   }
   std::printf("sync: %llu crash points\n",
               (unsigned long long)sync_points);
@@ -128,12 +85,13 @@ int main(int argc, char** argv) {
   uint64_t total_entries = 0;
   for (uint64_t point = 0; point < sync_points; ++point) {
     ClusterCoordinator cluster(Options());
-    RunWorkload(&cluster, files);
+    PASS_CHECK(
+        WriteLineageChain(&cluster, files, kChainSpread, kPayload).ok());
     cluster.env().CrashAfterOps(point);
     PASS_CHECK(!cluster.Sync().ok());  // the crash fired
     auto recovery = cluster.Recover();
     PASS_CHECK(recovery.ok());
-    bool match = FederatedMatchesMerged(&cluster, query);
+    bool match = CheckFederatedMatchesMerged(&cluster, {query}).ok();
     all_match = all_match && match;
     total_batches += recovery->batches_redelivered;
     total_entries += recovery->entries_reapplied;
@@ -158,14 +116,15 @@ int main(int argc, char** argv) {
   pass::core::PnodeRange range{};
   {
     ClusterCoordinator clean(Options());
-    RunWorkload(&clean, files);
+    PASS_CHECK(
+        WriteLineageChain(&clean, files, kChainSpread, kPayload).ok());
     PASS_CHECK(clean.Sync().ok());
     range = pass::core::PnodeRange{pass::core::ShardSpace(0).begin,
                                    clean.machine(0).allocator().peek_next()};
     uint64_t before = clean.env().crash_points_passed();
     PASS_CHECK(clean.MigrateRange(range, 2).ok());
     migration_points = clean.env().crash_points_passed() - before;
-    PASS_CHECK(FederatedMatchesMerged(&clean, query));
+    PASS_CHECK(CheckFederatedMatchesMerged(&clean, {query}).ok());
   }
   std::printf("\nmigration of shard 0's range to shard 2: %llu crash "
               "points\n",
@@ -175,7 +134,8 @@ int main(int argc, char** argv) {
   uint64_t aborted = 0;
   for (uint64_t point = 0; point < migration_points; ++point) {
     ClusterCoordinator cluster(Options());
-    RunWorkload(&cluster, files);
+    PASS_CHECK(
+        WriteLineageChain(&cluster, files, kChainSpread, kPayload).ok());
     PASS_CHECK(cluster.Sync().ok());
     cluster.env().CrashAfterOps(point);
     PASS_CHECK(!cluster.MigrateRange(range, 2).ok());
@@ -187,7 +147,7 @@ int main(int argc, char** argv) {
     uint64_t rows_dst = cluster.shard_db(2).RowsInRange(range.begin,
                                                         range.end);
     PASS_CHECK(rows_src == 0 || rows_dst == 0);  // never on two shards
-    bool match = FederatedMatchesMerged(&cluster, query);
+    bool match = CheckFederatedMatchesMerged(&cluster, {query}).ok();
     all_match = all_match && match;
     const char* outcome =
         recovery->migrations_rolled_forward > 0

@@ -14,22 +14,25 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/core/libpass.h"
 #include "src/cluster/federated_source.h"
+#include "src/cluster/oracle.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace {
 
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
 using pass::cluster::FederatedSource;
+using pass::cluster::MergedRows;
+using pass::workloads::WriteLineageChain;
 
 // Gate: at depth >= 48 on >= 4 shards, frontier-shipping + a full cache must
 // cut query RPCs at least this factor below the per-node, cache-off baseline.
@@ -83,19 +86,6 @@ class PerNodeAdapter : public pass::pql::GraphSource {
   const pass::pql::GraphSource* inner_;
 };
 
-std::multiset<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::multiset<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.insert(line);
-  }
-  return rows;
-}
-
 struct RunResult {
   uint64_t rpc = 0;
   uint64_t req_bytes = 0;
@@ -127,30 +117,18 @@ struct Fixture {
     ClusterOptions options;
     options.shards = shards;
     cluster = std::make_unique<ClusterCoordinator>(options);
-    std::vector<pass::core::ObjectRef> refs;
-    for (int i = 0; i < depth; ++i) {
-      std::vector<pass::core::ObjectRef> sources;
-      if (i > 0) {
-        sources.push_back(refs.back());
-      }
-      auto ref = cluster->WriteWithLineage(i % spread, "/f" + std::to_string(i),
-                                           std::string(256, 'd'), sources);
-      PASS_CHECK(ref.ok());
-      refs.push_back(*ref);
-    }
+    PASS_CHECK(WriteLineageChain(cluster.get(), depth, spread,
+                                 std::string(256, 'd'))
+                   .ok());
     PASS_CHECK(cluster->Sync().ok());
     query =
         "select Ancestor from Provenance.file as F F.input* as Ancestor "
         "where F.name = \"/f" +
         std::to_string(depth - 1) + "\"";
 
-    pass::waldo::ProvDb merged;
-    cluster->MergeInto(&merged);
-    pass::pql::ProvDbSource merged_source(&merged);
-    pass::pql::Engine merged_engine(&merged_source);
-    auto merged_result = merged_engine.Run(query);
-    PASS_CHECK(merged_result.ok());
-    want = Rows(*merged_result);
+    auto merged_rows = MergedRows(*cluster, query);
+    PASS_CHECK(merged_rows.ok());
+    want = std::move(*merged_rows);
   }
 
   RunResult Query(size_t cache_bytes, bool per_node) {
@@ -172,14 +150,14 @@ struct Fixture {
     out.misses = federated.stats().cache_misses;
     out.evictions = federated.stats().cache_evictions;
     out.rows = result->rows.size();
-    out.matches_merged = Rows(*result) == want;
+    out.matches_merged = result->RowKeys() == want;
     // Phase boundary: zero the counters (the cache keeps its contents) and
     // run the identical query again — the warm numbers are the second
     // pass's alone, not a delta against cumulative totals.
     federated.ResetStats();
     auto warm = engine.Run(query);
     PASS_CHECK(warm.ok());
-    PASS_CHECK(Rows(*warm) == Rows(*result));
+    PASS_CHECK(warm->RowKeys() == result->RowKeys());
     out.warm_rpc = federated.stats().remote_ops;
     out.warm_hits = federated.stats().cache_hits;
     return out;
@@ -187,7 +165,7 @@ struct Fixture {
 
   std::unique_ptr<ClusterCoordinator> cluster;
   std::string query;
-  std::multiset<std::string> want;
+  std::vector<std::string> want;  // MergedRows(query)
 };
 
 struct ChurnResult {
@@ -239,7 +217,7 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
   ChurnResult out;
   auto warm = fine_engine.Run(fixture.query);
   PASS_CHECK(warm.ok());
-  PASS_CHECK(Rows(*warm) == fixture.want);
+  PASS_CHECK(warm->RowKeys() == fixture.want);
   out.entries_total = fine.stats().cache_misses - fine.stats().cache_evictions;
   PASS_CHECK(flush_engine.Run(fixture.query).ok());
   fine.ResetStats();
@@ -263,8 +241,8 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
     auto flush_result = flush_engine.Run(fixture.query);
     PASS_CHECK(fine_result.ok() && flush_result.ok());
     out.matches_merged = out.matches_merged &&
-                         Rows(*fine_result) == fixture.want &&
-                         Rows(*flush_result) == fixture.want;
+                         fine_result->RowKeys() == fixture.want &&
+                         flush_result->RowKeys() == fixture.want;
   }
   out.fine_hits = fine.stats().cache_hits;
   out.fine_misses = fine.stats().cache_misses;

@@ -39,6 +39,7 @@
 #include "src/obs/stats_bridge.h"
 #include "src/pql/eval.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace {
 
@@ -47,6 +48,7 @@ using pass::cluster::ClusterOptions;
 using pass::cluster::FederatedSource;
 using pass::obs::SpanRecord;
 using pass::obs::TraceCollector;
+using pass::workloads::WriteLineageChain;
 
 // Wall-clock gate: traced <= untraced * (1 + 10%) + slack, best-of-repeats.
 constexpr double kWallOverheadGate = 0.10;
@@ -110,17 +112,9 @@ ScenarioResult RunScenario(int shards, const std::string& workload,
   }
 
   const int chain = 8 * shards;
-  std::vector<pass::core::ObjectRef> refs;
-  for (int i = 0; i < chain; ++i) {
-    std::vector<pass::core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster.WriteWithLineage(i % shards, "/f7_" + std::to_string(i),
-                                        std::string(256, 'd'), sources);
-    PASS_CHECK(ref.ok());
-    refs.push_back(*ref);
-  }
+  auto refs = WriteLineageChain(&cluster, chain, shards, std::string(256, 'd'),
+                                "/f7_");
+  PASS_CHECK(refs.ok());
 
   size_t sync_begin = trace.spans().size();
   PASS_CHECK(cluster.Sync().ok());
@@ -131,8 +125,9 @@ ScenarioResult RunScenario(int shards, const std::string& workload,
   }
 
   size_t migrate_begin = trace.spans().size();
-  int owner = cluster.OwnerOf(refs[0].pnode);
-  pass::core::PnodeRange range{refs[0].pnode, refs[0].pnode + 1};
+  pass::core::PnodeId head = refs->front().pnode;
+  int owner = cluster.OwnerOf(head);
+  pass::core::PnodeRange range{head, head + 1};
   PASS_CHECK(cluster.MigrateRange(range, (owner + 1) % shards).ok());
   if (tracing) {
     // Gate 2b: the three-phase migration protocol is one tree.

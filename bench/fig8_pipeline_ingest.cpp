@@ -32,7 +32,6 @@
 //
 // Usage: fig8_pipeline_ingest [rounds]   (default 10; CI passes fewer)
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -40,17 +39,15 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
-#include "src/cluster/federated_source.h"
+#include "src/cluster/oracle.h"
 #include "src/obs/obs.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
 
 namespace {
 
+using pass::cluster::CheckFederatedMatchesMerged;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::FederatedSource;
 
 constexpr size_t kBatchRecords = 8;  // small batches: many journal appends
 
@@ -69,20 +66,6 @@ struct RunResult {
   uint64_t wire_bytes = 0;     // replication + migration payload bytes
   bool match = false;          // federated == merged
 };
-
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 RunResult Run(int shards, int round_files, int rounds, bool pipelined) {
   ClusterOptions options;
@@ -138,17 +121,7 @@ RunResult Run(int shards, int round_files, int rounds, bool pipelined) {
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/f" +
       std::to_string(file - 1) + "\"";
-  FederatedSource federated = cluster.Source(/*portal_shard=*/0);
-  pass::pql::Engine federated_engine(&federated);
-  auto federated_result = federated_engine.Run(query);
-  PASS_CHECK(federated_result.ok());
-  pass::waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
-  out.match = Rows(*federated_result) == Rows(*merged_result);
+  out.match = CheckFederatedMatchesMerged(&cluster, {query}).ok();
   return out;
 }
 

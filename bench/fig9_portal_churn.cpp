@@ -27,28 +27,31 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/oracle.h"
 #include "src/cluster/portal.h"
 #include "src/core/libpass.h"
 #include "src/obs/stats_bridge.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace {
 
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
 using pass::cluster::FederatedSource;
+using pass::cluster::MergedRows;
 using pass::cluster::PortalHandle;
 using pass::cluster::PortalSession;
 using pass::cluster::PortalSessionOptions;
 using pass::cluster::PortalTier;
 using pass::cluster::PortalTierOptions;
+using pass::workloads::WriteLineageChain;
 
 // On churn cells with the full cache budget, the whole-cache-flush baseline
 // must pay at least this factor more cache misses than the fingerprinted
@@ -58,19 +61,6 @@ constexpr double kChurnMissReductionGate = 5.0;
 constexpr int kShards = 4;       // chain on 0..2, shard 3 is the churn sink
 constexpr int kChainDepth = 36;
 
-std::multiset<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::multiset<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.insert(line);
-  }
-  return rows;
-}
-
 // A 4-shard cluster whose lineage chain stripes shards 0..2 only; shard 3
 // holds a single /churn file that TouchChurn mutates with fresh annotation
 // rows (unique, so ingest's InsertUnique replay-dedup cannot drop them).
@@ -79,17 +69,10 @@ struct Fixture {
     ClusterOptions options;
     options.shards = kShards;
     cluster = std::make_unique<ClusterCoordinator>(options);
-    for (int i = 0; i < kChainDepth; ++i) {
-      std::vector<pass::core::ObjectRef> sources;
-      if (i > 0) {
-        sources.push_back(refs.back());
-      }
-      auto ref = cluster->WriteWithLineage(
-          i % (kShards - 1), "/f" + std::to_string(i), std::string(256, 'd'),
-          sources);
-      PASS_CHECK(ref.ok());
-      refs.push_back(*ref);
-    }
+    auto chain = WriteLineageChain(cluster.get(), kChainDepth, kShards - 1,
+                                   std::string(256, 'd'));
+    PASS_CHECK(chain.ok());
+    refs = std::move(*chain);
     auto churn = cluster->WriteWithLineage(kShards - 1, "/churn",
                                            std::string(64, 'c'), {});
     PASS_CHECK(churn.ok());
@@ -100,13 +83,9 @@ struct Fixture {
         "where F.name = \"/f" +
         std::to_string(kChainDepth - 1) + "\"";
 
-    pass::waldo::ProvDb merged;
-    cluster->MergeInto(&merged);
-    pass::pql::ProvDbSource merged_source(&merged);
-    pass::pql::Engine merged_engine(&merged_source);
-    auto merged_result = merged_engine.Run(query);
-    PASS_CHECK(merged_result.ok());
-    want = Rows(*merged_result);
+    auto merged_rows = MergedRows(*cluster, query);
+    PASS_CHECK(merged_rows.ok());
+    want = std::move(*merged_rows);
   }
 
   void TouchChurn(int writes) {
@@ -133,7 +112,7 @@ struct Fixture {
   std::optional<pass::core::LibPass> churn_lib;
   int64_t next_id = 0;
   std::string query;
-  std::multiset<std::string> want;
+  std::vector<std::string> want;  // MergedRows(query)
 };
 
 uint64_t Percentile(std::vector<uint64_t> v, double p) {
@@ -205,7 +184,7 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
   for (PortalSession* session : fleet) {
     auto warm = session->Run(fixture.query);
     PASS_CHECK(warm.ok());
-    PASS_CHECK(Rows(*warm) == fixture.want);
+    PASS_CHECK(warm->RowKeys() == fixture.want);
     session->source().ResetStats();
   }
   PASS_CHECK(flush_engine.Run(fixture.query).ok());
@@ -224,11 +203,11 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
       latencies.push_back(
           static_cast<uint64_t>(env.clock().now() - start));
       PASS_CHECK(result.ok());
-      out.matches = out.matches && Rows(*result) == fixture.want;
+      out.matches = out.matches && result->RowKeys() == fixture.want;
     }
     auto flush_result = flush_engine.Run(fixture.query);
     PASS_CHECK(flush_result.ok());
-    out.matches = out.matches && Rows(*flush_result) == fixture.want;
+    out.matches = out.matches && flush_result->RowKeys() == fixture.want;
   }
   for (PortalSession* session : fleet) {
     const auto& stats = session->source().stats();
@@ -263,7 +242,7 @@ void RunMigrationPhase(std::string* csv) {
   for (PortalSession* session : {a->get(), b->get()}) {
     auto warm = session->Run(fixture.query);
     PASS_CHECK(warm.ok());
-    PASS_CHECK(Rows(*warm) == fixture.want);
+    PASS_CHECK(warm->RowKeys() == fixture.want);
     session->source().ResetStats();
   }
 
@@ -281,7 +260,7 @@ void RunMigrationPhase(std::string* csv) {
   for (PortalSession* session : {a->get(), b->get()}) {
     auto during = session->Run(fixture.query);
     PASS_CHECK(during.ok());
-    PASS_CHECK(Rows(*during) == fixture.want);
+    PASS_CHECK(during->RowKeys() == fixture.want);
   }
 
   uint64_t invalidated = 0;
@@ -289,7 +268,7 @@ void RunMigrationPhase(std::string* csv) {
     session->RePin();
     auto after = session->Run(fixture.query);
     PASS_CHECK(after.ok());
-    PASS_CHECK(Rows(*after) == fixture.want);
+    PASS_CHECK(after->RowKeys() == fixture.want);
     PASS_CHECK(session->source().stats().cache_invalidations_full == 0);
     invalidated += session->source().stats().cache_entries_invalidated;
   }

@@ -83,12 +83,9 @@ void IngestQueue::FlushShardSync(int destination) {
   if (queue.empty() || Crashed()) {
     return;
   }
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
+  obs::TraceCollector* trace = Trace();
   sim::Nanos flush_start = Now();
   obs::ScopedSpan flush_span(trace, "ingest.flush", destination);
-  std::string payload;
-  lasagna::EncodeLogEntries(&payload, queue);
   // WAP for the cluster: the batch is durable in the journal before any of
   // its effects (the network send, the remote apply) happen.
   uint64_t batch_id = 0;
@@ -99,30 +96,13 @@ void IngestQueue::FlushShardSync(int destination) {
   if (MaybeCrash()) {
     return;  // journaled but never sent: recovery redelivers
   }
-  // The batch "carries" the sender's trace context across the simulated
-  // RPC boundary: the destination's apply span parents to this rpc span.
-  obs::TraceContext rpc_ctx;
-  {
-    obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
-    net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
-  }
+  // InsertUnique: redelivery of this batch after a crash cannot duplicate
+  // rows the destination already applied.
+  Delivery delivery = Deliver(destination, queue, "rpc.repl_batch",
+                              "shard.apply_batch", /*timeline=*/nullptr);
   ++stats_.batches_sent;
-  stats_.bytes_sent += payload.size();
-  waldo::ProvDb* db = shards_[destination];
-  {
-    obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_batch",
-                               destination);
-    for (const lasagna::LogEntry& entry : queue) {
-      // InsertUnique: redelivery of this batch after a crash cannot
-      // duplicate rows the destination already applied.
-      if (db->InsertUnique(entry)) {
-        ++stats_.entries_replicated;
-      }
-    }
-  }
+  stats_.bytes_sent += delivery.bytes;
+  stats_.entries_replicated += delivery.inserted;
   if (MaybeCrash()) {
     return;  // applied but unacknowledged: redelivery is a no-op
   }
@@ -143,11 +123,41 @@ void IngestQueue::FlushShardSync(int destination) {
   }
 }
 
-void IngestQueue::ShipSealed(const SealedBatch& batch) {
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
+IngestQueue::Delivery IngestQueue::Deliver(
+    int destination, const std::vector<lasagna::LogEntry>& entries,
+    const char* rpc_span_name, const char* apply_span_name,
+    sim::AsyncTimeline* timeline) {
+  obs::TraceCollector* trace = Trace();
+  Delivery delivery;
   std::string payload;
-  lasagna::EncodeLogEntries(&payload, batch.entries);
+  lasagna::EncodeLogEntries(&payload, entries);
+  delivery.bytes = payload.size();
+  // The batch "carries" the sender's trace context across the simulated
+  // RPC boundary: the destination's apply span parents to this rpc span.
+  obs::TraceContext rpc_ctx;
+  {
+    obs::ScopedSpan rpc_span(trace, rpc_span_name, destination);
+    if (trace != nullptr) {
+      rpc_ctx = trace->CurrentContext();
+    }
+    uint64_t request_bytes = kBatchHeaderBytes + payload.size();
+    if (timeline != nullptr) {
+      net_->RoundTripAsync(timeline, request_bytes, kAckBytes);
+    } else {
+      net_->RoundTrip(request_bytes, kAckBytes);
+    }
+  }
+  waldo::ProvDb* db = shards_[destination];
+  obs::ScopedSpan apply_span(trace, rpc_ctx, apply_span_name, destination);
+  for (const lasagna::LogEntry& entry : entries) {
+    if (db->InsertUnique(entry)) {
+      ++delivery.inserted;
+    }
+  }
+  return delivery;
+}
+
+void IngestQueue::ShipSealed(const SealedBatch& batch) {
   // Bounded in-flight window: past it the sender blocks until the oldest
   // transfer completes — the only place pipelined ingest waits on the wire.
   sim::Nanos waited = timeline_.WaitForSlot(options_.max_in_flight_batches);
@@ -157,28 +167,15 @@ void IngestQueue::ShipSealed(const SealedBatch& batch) {
         .GetHistogram("ingest.backpressure_ns")
         .Record(waited);
   }
-  obs::TraceContext rpc_ctx;
-  {
-    obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", batch.destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
-    net_->RoundTripAsync(&timeline_, kBatchHeaderBytes + payload.size(),
-                         kAckBytes);
-  }
-  ++stats_.batches_sent;
-  stats_.bytes_sent += payload.size();
   // The simulation applies the entries eagerly (state now, time deferred):
   // equivalent to a background shipper whose completion nobody observes
   // before the next quiesce barrier.
-  waldo::ProvDb* db = shards_[batch.destination];
-  obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_batch",
-                             batch.destination);
-  for (const lasagna::LogEntry& entry : batch.entries) {
-    if (db->InsertUnique(entry)) {
-      ++stats_.entries_replicated;
-    }
-  }
+  Delivery delivery = Deliver(batch.destination, batch.entries,
+                              "rpc.repl_batch", "shard.apply_batch",
+                              &timeline_);
+  ++stats_.batches_sent;
+  stats_.bytes_sent += delivery.bytes;
+  stats_.entries_replicated += delivery.inserted;
 }
 
 void IngestQueue::FlushPipelined() {
@@ -192,8 +189,7 @@ void IngestQueue::FlushPipelined() {
   if (ready_.empty()) {
     return;
   }
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
+  obs::TraceCollector* trace = Trace();
   sim::Nanos flush_start = Now();
   obs::ScopedSpan flush_span(trace, "ingest.flush");
   // Foreground half: one coalesced journal write makes every sealed batch
@@ -290,71 +286,32 @@ void IngestQueue::DropPending() {
 
 uint64_t IngestQueue::Redeliver(
     int destination, const std::vector<lasagna::LogEntry>& entries) {
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  obs::ScopedSpan redeliver_span(trace, "ingest.redeliver", destination);
-  std::string payload;
-  lasagna::EncodeLogEntries(&payload, entries);
-  obs::TraceContext rpc_ctx;
-  {
-    obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
-    net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
-  }
-  uint64_t inserted = 0;
-  waldo::ProvDb* db = shards_[destination];
-  obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_batch",
-                             destination);
-  for (const lasagna::LogEntry& entry : entries) {
-    if (db->InsertUnique(entry)) {
-      ++inserted;
-    }
-  }
-  return inserted;
+  obs::ScopedSpan redeliver_span(Trace(), "ingest.redeliver", destination);
+  return Deliver(destination, entries, "rpc.repl_batch", "shard.apply_batch",
+                 /*timeline=*/nullptr)
+      .inserted;
 }
 
 IngestQueue::ShipReport IngestQueue::ShipTo(
     int destination, const std::vector<lasagna::LogEntry>& entries) {
   ShipReport report;
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  waldo::ProvDb* db = shards_[destination];
   for (size_t at = 0; at < entries.size(); at += options_.batch_records) {
     if (MaybeCrash()) {
       break;  // mid-copy crash: recovery re-ships the whole range
     }
     sim::Nanos chunk_start = Now();
-    obs::ScopedSpan chunk_span(trace, "migrate.ship_chunk", destination);
+    obs::ScopedSpan chunk_span(Trace(), "migrate.ship_chunk", destination);
     size_t batch_end = std::min(at + options_.batch_records, entries.size());
     std::vector<lasagna::LogEntry> chunk(entries.begin() + at,
                                          entries.begin() + batch_end);
-    std::string payload;
-    lasagna::EncodeLogEntries(&payload, chunk);
-    obs::TraceContext rpc_ctx;
-    {
-      obs::ScopedSpan rpc_span(trace, "rpc.ship", destination);
-      if (trace != nullptr) {
-        rpc_ctx = trace->CurrentContext();
-      }
-      net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
-    }
+    // InsertUnique adds only the rows (or edge halves) still missing, so
+    // re-sending previously replicated entries cannot duplicate them.
+    Delivery delivery = Deliver(destination, chunk, "rpc.ship",
+                                "shard.apply_chunk", /*timeline=*/nullptr);
     ++report.batches;
-    report.bytes += payload.size();
-    {
-      obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_chunk",
-                                 destination);
-      for (const lasagna::LogEntry& entry : chunk) {
-        // InsertUnique adds only the rows (or edge halves) still missing, so
-        // re-sending previously replicated entries cannot duplicate them.
-        if (db->InsertUnique(entry)) {
-          ++report.entries_shipped;
-        } else {
-          ++report.entries_skipped;
-        }
-      }
-    }
+    report.bytes += delivery.bytes;
+    report.entries_shipped += delivery.inserted;
+    report.entries_skipped += chunk.size() - delivery.inserted;
     chunk_span.End();
     if (env_ != nullptr) {
       env_->obs()

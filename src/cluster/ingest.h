@@ -192,7 +192,16 @@ class IngestQueue {
     sim::Nanos enqueued_at = 0;
   };
 
+  // What one Deliver() put on the wire and into the destination.
+  struct Delivery {
+    uint64_t bytes = 0;     // encoded payload bytes
+    uint64_t inserted = 0;  // rows the destination did not already hold
+  };
+
   bool Crashed() const { return env_ != nullptr && env_->crashed(); }
+  obs::TraceCollector* Trace() const {
+    return env_ == nullptr ? nullptr : &env_->obs().trace();
+  }
   bool MaybeCrash() { return env_ != nullptr && env_->MaybeCrash(); }
   sim::Nanos Now() const { return env_ == nullptr ? 0 : env_->clock().now(); }
   void Enqueue(int destination, const lasagna::LogEntry& entry);
@@ -200,6 +209,14 @@ class IngestQueue {
   void FlushPipelined();                // journal-then-ack + background ship
   void FlushShardSync(int destination); // legacy inline drain
   void ShipSealed(const SealedBatch& batch);  // async wire + remote apply
+  // The one delivery path (sync flush, async ship, redelivery, migration):
+  // encode `entries`, charge one round trip inside an `rpc_span_name` span
+  // (on `timeline` when given, else inline), then InsertUnique them into
+  // `destination` inside an `apply_span_name` span parented to the rpc.
+  Delivery Deliver(int destination,
+                   const std::vector<lasagna::LogEntry>& entries,
+                   const char* rpc_span_name, const char* apply_span_name,
+                   sim::AsyncTimeline* timeline);
   void RecordAck(const SealedBatch& batch);
 
   sim::Env* env_;

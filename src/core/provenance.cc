@@ -1,5 +1,7 @@
 #include "src/core/provenance.h"
 
+#include <algorithm>
+
 #include "src/util/strings.h"
 
 namespace pass::core {
@@ -211,12 +213,15 @@ void EncodeBundle(std::string* out, const Bundle& bundle) {
 Result<Bundle> DecodeBundle(Decoder* in) {
   PASS_ASSIGN_OR_RETURN(uint32_t entries, in->U32());
   Bundle bundle;
-  bundle.reserve(entries);
+  // The counts are untrusted (PA-NFS requests decode here): a corrupt one
+  // must fail per-item below, not blow up a reserve. Every encoded entry
+  // and record takes at least one byte of input.
+  bundle.reserve(std::min<size_t>(entries, in->remaining()));
   for (uint32_t i = 0; i < entries; ++i) {
     BundleEntry entry;
     PASS_ASSIGN_OR_RETURN(entry.target, DecodeObjectRef(in));
     PASS_ASSIGN_OR_RETURN(uint32_t count, in->U32());
-    entry.records.reserve(count);
+    entry.records.reserve(std::min<size_t>(count, in->remaining()));
     for (uint32_t j = 0; j < count; ++j) {
       PASS_ASSIGN_OR_RETURN(Record record, DecodeRecord(in));
       entry.records.push_back(std::move(record));

@@ -467,6 +467,25 @@ ValueSet QueryResult::Flatten() const {
   return out;
 }
 
+std::vector<std::string> QueryResult::RowKeys() const {
+  std::vector<std::string> keys;
+  keys.reserve(rows.size());
+  for (const auto& row : rows) {
+    keys.push_back(RowKey(row));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+std::string RowKey(const std::vector<Value>& row) {
+  std::string key;
+  for (const Value& value : row) {
+    key += value.ToString();
+    key += '|';
+  }
+  return key;
+}
+
 Result<QueryResult> Engine::Run(std::string_view text,
                                 const QueryOptions& options) const {
   PASS_ASSIGN_OR_RETURN(std::unique_ptr<Query> query, ParseQuery(text));

@@ -32,7 +32,13 @@ struct QueryResult {
   std::string ToTable(const GraphSource* source) const;
   // Flatten all cells into one value set.
   ValueSet Flatten() const;
+  // Every row as RowKey(), sorted: the canonical form for comparing two
+  // answers, since row order is not part of a query's contract.
+  std::vector<std::string> RowKeys() const;
 };
+
+// One row rendered as "v1|v2|...|" (each value's ToString() plus a '|').
+std::string RowKey(const std::vector<Value>& row);
 
 struct EvalLimits {
   size_t max_bindings = 1u << 20;

@@ -3,17 +3,21 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
 #include "src/cluster/ingest.h"
+#include "src/cluster/oracle.h"
+#include "src/lasagna/log_format.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace pass::cluster {
 namespace {
+
+using workloads::WriteLineageChain;
 
 ClusterOptions SmallCluster(int shards, size_t batch = 16) {
   ClusterOptions options;
@@ -22,40 +26,21 @@ ClusterOptions SmallCluster(int shards, size_t batch = 16) {
   return options;
 }
 
-// Build a lineage chain that hops across every shard round-robin:
-// /f0 on shard 0, /f1 on shard 1 <- /f0, /f2 on shard 2 <- /f1, ...
-std::vector<core::ObjectRef> BuildCrossShardChain(ClusterCoordinator* cluster,
-                                                  int files) {
-  std::vector<core::ObjectRef> refs;
-  for (int i = 0; i < files; ++i) {
-    int shard = i % cluster->shard_count();
-    std::string path = "/f" + std::to_string(i);
-    std::vector<core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster->WriteWithLineage(shard, path, "payload-" + path,
-                                         sources);
-    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
-    refs.push_back(*ref);
-  }
-  return refs;
-}
-
-// Render a query result as a multiset of value strings (row order is not
-// part of the contract being compared).
-std::multiset<std::string> ResultSet(const pql::QueryResult& result) {
-  std::multiset<std::string> out;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    out.insert(line);
-  }
-  return out;
-}
+// Equivalence probes over the /f0 .. /f11 chain, checked through the
+// cluster oracle.
+const std::vector<std::string> kQueries = {
+    // Full ancestry closure of the chain tail, crossing every shard.
+    "select Ancestor from Provenance.file as F F.input* as Ancestor "
+    "where F.name = \"/f11\"",
+    // Descendant closure from the chain head.
+    "select D from Provenance.file as F F.~input* as D "
+    "where F.name = \"/f0\"",
+    // Direct ancestors only.
+    "select A from Provenance.file as F F.input as A "
+    "where F.name = \"/f7\"",
+    // Typed root set spanning every shard.
+    "select F.name from Provenance.file as F",
+};
 
 TEST(ClusterTest, ProvisionsShardsWithDisjointPnodeSpaces) {
   ClusterCoordinator cluster(SmallCluster(4));
@@ -119,7 +104,7 @@ TEST(ClusterTest, CrossShardEdgesReplicateToAncestorOwner) {
 
 TEST(ClusterTest, FederatedFollowRoutesAcrossShards) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 8);
+  auto refs = WriteLineageChain(&cluster, 8, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
@@ -149,45 +134,18 @@ TEST(ClusterTest, FederatedFollowRoutesAcrossShards) {
 // result set as the equivalent single-merged-database run.
 TEST(ClusterTest, FederatedAncestryQueryMatchesMergedSingleDb) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/4).ok());
   // A second, unrelated lineage island on shard 2.
   ASSERT_TRUE(cluster.WriteWithLineage(2, "/island", "iii", {}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  FederatedSource federated_source = cluster.Source(/*portal_shard=*/0);
-
-  const std::string kQueries[] = {
-      // Full ancestry closure of the chain tail, crossing all 4 shards.
-      "select Ancestor from Provenance.file as F F.input* as Ancestor "
-      "where F.name = \"/f11\"",
-      // Descendant closure from the chain head.
-      "select D from Provenance.file as F F.~input* as D "
-      "where F.name = \"/f0\"",
-      // Direct ancestors only.
-      "select A from Provenance.file as F F.input as A "
-      "where F.name = \"/f7\"",
-      // Typed root set spanning every shard.
-      "select F.name from Provenance.file as F",
-  };
-  for (const std::string& query : kQueries) {
-    pql::Engine merged_engine(&merged_source);
-    pql::Engine federated_engine(&federated_source);
-    auto want = merged_engine.Run(query);
-    ASSERT_TRUE(want.ok()) << query << ": " << want.status().ToString();
-    auto got = federated_engine.Run(query);
-    ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
-    EXPECT_EQ(ResultSet(*got), ResultSet(*want)) << query;
-    EXPECT_FALSE(want->rows.empty()) << query;
-  }
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK");
 }
 
 TEST(ClusterTest, BatchedIngestReducesRoundTripsAtEqualRecordCounts) {
   auto run = [](size_t batch) {
     ClusterCoordinator cluster(SmallCluster(2, batch));
-    BuildCrossShardChain(&cluster, 30);
+    EXPECT_TRUE(WriteLineageChain(&cluster, 30, /*spread=*/2).ok());
     EXPECT_TRUE(cluster.Sync().ok());
     return std::make_pair(cluster.ingest_stats(),
                           cluster.network().stats().round_trips);
@@ -206,40 +164,6 @@ TEST(ClusterTest, BatchedIngestReducesRoundTripsAtEqualRecordCounts) {
 }
 
 // ---- ShardMap routing / live migration --------------------------------------
-
-// Multiset of all rows from running `query` through `source`.
-std::multiset<std::string> RunQuery(pql::GraphSource* source,
-                                    const std::string& query) {
-  pql::Engine engine(source);
-  auto result = engine.Run(query);
-  EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
-  return result.ok() ? ResultSet(*result) : std::multiset<std::string>{};
-}
-
-const char* const kEquivalenceQueries[] = {
-    "select Ancestor from Provenance.file as F F.input* as Ancestor "
-    "where F.name = \"/f11\"",
-    "select D from Provenance.file as F F.~input* as D "
-    "where F.name = \"/f0\"",
-    "select A from Provenance.file as F F.input as A "
-    "where F.name = \"/f7\"",
-    "select F.name from Provenance.file as F",
-};
-
-// Federated results must equal the merged single-database view.
-void ExpectFederatedMatchesMerged(ClusterCoordinator* cluster,
-                                  const std::string& context) {
-  waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  for (const char* query : kEquivalenceQueries) {
-    auto want = RunQuery(&merged_source, query);
-    auto got = RunQuery(&federated, query);
-    EXPECT_EQ(got, want) << context << ": " << query;
-    EXPECT_FALSE(want.empty()) << context << ": " << query;
-  }
-}
 
 TEST(ClusterTest, MigrateRangeMovesOwnershipAndRows) {
   ClusterCoordinator cluster(SmallCluster(2));
@@ -301,22 +225,25 @@ TEST(ClusterTest, MigrateRangeRejectsSplitOrForeignRanges) {
 // query must keep matching the merged single-database answer throughout.
 TEST(ClusterTest, FederatedQueriesSurviveInterleavedMigrations) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.WriteWithLineage(2, "/island", "iii", {}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  ExpectFederatedMatchesMerged(&cluster, "before any migration");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "before any migration";
 
   // Move the prefix of shard 0's space (covering /f0, /f4) to shard 2.
   core::PnodeRange prefix{core::ShardSpace(0).begin, refs[4].pnode + 1};
   ASSERT_TRUE(cluster.MigrateRange(prefix, 2).ok());
-  ExpectFederatedMatchesMerged(&cluster, "after prefix migration");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "after prefix migration";
 
   // More workload after the migration, including writes on shard 0 that
   // disclose lineage to a migrated ancestor.
   auto extra = cluster.WriteWithLineage(0, "/extra", "eee", {refs[0]});
   ASSERT_TRUE(extra.ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  ExpectFederatedMatchesMerged(&cluster, "after post-migration workload");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "after post-migration workload";
 
   // Move shard 1's *entire* home space to shard 3, then keep writing on
   // shard 1: even freshly minted pnodes belong to shard 3 now.
@@ -325,13 +252,15 @@ TEST(ClusterTest, FederatedQueriesSurviveInterleavedMigrations) {
   ASSERT_TRUE(late.ok());
   EXPECT_EQ(cluster.OwnerOf(late->pnode), 3);
   ASSERT_TRUE(cluster.Sync().ok());
-  ExpectFederatedMatchesMerged(&cluster, "after whole-space migration");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "after whole-space migration";
 
   // And back again: migrating home restores the default route.
   ASSERT_TRUE(cluster.MigrateRange(core::ShardSpace(1), 1).ok());
   ASSERT_TRUE(cluster.Sync().ok());
   EXPECT_EQ(cluster.OwnerOf(late->pnode), 1);
-  ExpectFederatedMatchesMerged(&cluster, "after migrating home");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "after migrating home";
 }
 
 // Satellite regression: a FederatedSource created *before* a migration must
@@ -348,7 +277,7 @@ TEST(ClusterTest, SourceCreatedBeforeMigrationRoutesThroughLiveMap) {
   const std::string query =
       "select D from Provenance.file as F F.~input* as D "
       "where F.name = \"/a\"";
-  auto before = RunQuery(&stale, query);
+  auto before = QueryRows(&stale, query).value();
   EXPECT_FALSE(before.empty());
 
   ASSERT_TRUE(
@@ -356,31 +285,25 @@ TEST(ClusterTest, SourceCreatedBeforeMigrationRoutesThroughLiveMap) {
 
   // Same source object, post-migration: answers come from shard 1 now and
   // still match both the pre-migration answer and the merged view.
-  auto after = RunQuery(&stale, query);
+  auto after = QueryRows(&stale, query).value();
   EXPECT_EQ(after, before);
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  EXPECT_EQ(RunQuery(&merged_source, query), after);
+  EXPECT_EQ(MergedRows(cluster, query).value(), after);
 }
 
 // Satellite: federated queries with a non-default portal shard.
 TEST(ClusterTest, NonZeroPortalShardServesLocalOpsWithoutNetwork) {
   ClusterCoordinator cluster(SmallCluster(3));
-  auto refs = BuildCrossShardChain(&cluster, 9);
+  auto refs = WriteLineageChain(&cluster, 9, /*spread=*/3).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
   const std::string query =
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/f8\"";
-  auto want = RunQuery(&merged_source, query);
+  auto want = MergedRows(cluster, query).value();
 
   for (int portal = 0; portal < 3; ++portal) {
     FederatedSource source = cluster.Source(portal);
-    EXPECT_EQ(RunQuery(&source, query), want) << "portal " << portal;
+    EXPECT_EQ(QueryRows(&source, query).value(), want) << "portal " << portal;
     // Every portal serves its own pnodes locally and routes the rest.
     EXPECT_GT(source.stats().local_ops, 0u) << "portal " << portal;
     EXPECT_GT(source.stats().remote_ops, 0u) << "portal " << portal;
@@ -399,7 +322,7 @@ TEST(ClusterTest, NonZeroPortalShardServesLocalOpsWithoutNetwork) {
 // Satellite: per-shard size accessors surface in cluster stats.
 TEST(ClusterTest, ShardSizesReportPerShardRecordCounts) {
   ClusterCoordinator cluster(SmallCluster(2));
-  auto refs = BuildCrossShardChain(&cluster, 6);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 6, /*spread=*/2).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   auto sizes = cluster.shard_sizes();
@@ -420,17 +343,7 @@ TEST(ClusterTest, ShardSizesReportPerShardRecordCounts) {
 TEST(ClusterTest, RebalanceConvergesASkewedCluster) {
   ClusterCoordinator cluster(SmallCluster(4, /*batch=*/32));
   // Heavily skewed workload: every write lands on shard 0.
-  std::vector<core::ObjectRef> refs;
-  for (int i = 0; i < 24; ++i) {
-    std::vector<core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster.WriteWithLineage(0, "/f" + std::to_string(i),
-                                        "payload", sources);
-    ASSERT_TRUE(ref.ok());
-    refs.push_back(*ref);
-  }
+  ASSERT_TRUE(WriteLineageChain(&cluster, 24, /*spread=*/1).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   auto before = cluster.shard_sizes();
@@ -445,20 +358,17 @@ TEST(ClusterTest, RebalanceConvergesASkewedCluster) {
   EXPECT_GT(cluster.migration_stats().batches, 0u);
 
   // Rebalancing changed placement, not answers.
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  FederatedSource federated = cluster.Source(0);
   const std::string query =
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/f23\"";
-  EXPECT_EQ(RunQuery(&federated, query), RunQuery(&merged_source, query));
-  EXPECT_GE(RunQuery(&federated, query).size(), 23u);
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, {query}).ToString(), "OK");
+  EXPECT_GE(MergedRows(cluster, query).value().size(), 23u);
 }
 
 TEST(ClusterTest, RebalanceIsANoOpOnABalancedCluster) {
   ClusterCoordinator cluster(SmallCluster(2));
-  BuildCrossShardChain(&cluster, 8);  // round-robin: already balanced
+  // Round-robin: already balanced.
+  ASSERT_TRUE(WriteLineageChain(&cluster, 8, /*spread=*/2).ok());
   ASSERT_TRUE(cluster.Sync().ok());
   RebalanceReport report = cluster.Rebalance(/*max_min_ratio=*/2.0);
   EXPECT_TRUE(report.converged);
@@ -477,7 +387,7 @@ TEST(ClusterTest, CrashMidSyncRecoversToEquivalentView) {
   uint64_t points = 0;
   {
     ClusterCoordinator twin(SmallCluster(4, /*batch=*/4));
-    BuildCrossShardChain(&twin, 12);
+    ASSERT_TRUE(WriteLineageChain(&twin, 12, /*spread=*/4).ok());
     uint64_t before = twin.env().crash_points_passed();
     ASSERT_TRUE(twin.Sync().ok());
     points = twin.env().crash_points_passed() - before;
@@ -485,14 +395,15 @@ TEST(ClusterTest, CrashMidSyncRecoversToEquivalentView) {
   ASSERT_GT(points, 2u);
 
   ClusterCoordinator cluster(SmallCluster(4, /*batch=*/4));
-  BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/4).ok());
   cluster.env().CrashAfterOps(points / 2);
   ASSERT_FALSE(cluster.Sync().ok());
 
   auto recovery = cluster.Recover();
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
   EXPECT_GT(recovery->journals_scanned, 0u);
-  ExpectFederatedMatchesMerged(&cluster, "after mid-sync crash recovery");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "after mid-sync crash recovery";
 }
 
 // Acceptance: a coordinator crash between the copy and delete phases of a
@@ -552,19 +463,13 @@ TEST(ClusterTest, CrashBetweenMigrationCopyAndDeleteRollsForward) {
     EXPECT_EQ(owner == 1 ? on_source : on_destination, 0u)
         << "point " << point;
     // Federated still equals merged for lineage through the moved object.
-    waldo::ProvDb merged;
-    crashed.MergeInto(&merged);
-    pql::ProvDbSource merged_source(&merged);
-    FederatedSource federated = crashed.Source(/*portal_shard=*/0);
-    for (const char* query :
-         {"select D from Provenance.file as F F.~input* as D "
-          "where F.name = \"/a\"",
-          "select F.name from Provenance.file as F"}) {
-      auto want = RunQuery(&merged_source, query);
-      EXPECT_EQ(RunQuery(&federated, query), want)
-          << "point " << point << ": " << query;
-      EXPECT_FALSE(want.empty()) << "point " << point << ": " << query;
-    }
+    EXPECT_EQ(CheckFederatedMatchesMerged(
+                  &crashed, {"select D from Provenance.file as F "
+                             "F.~input* as D where F.name = \"/a\"",
+                             "select F.name from Provenance.file as F"})
+                  .ToString(),
+              "OK")
+        << "point " << point;
   }
   // The sweep must have covered the copied-but-not-deleted window.
   EXPECT_TRUE(saw_both_shards_holding_rows);
@@ -572,7 +477,7 @@ TEST(ClusterTest, CrashBetweenMigrationCopyAndDeleteRollsForward) {
 
 TEST(ClusterTest, SingleShardClusterNeedsNoNetwork) {
   ClusterCoordinator cluster(SmallCluster(1));
-  BuildCrossShardChain(&cluster, 5);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 5, /*spread=*/1).ok());
   ASSERT_TRUE(cluster.Sync().ok());
   EXPECT_EQ(cluster.ingest_stats().entries_replicated, 0u);
   EXPECT_EQ(cluster.network().stats().round_trips, 0u);
@@ -585,6 +490,54 @@ TEST(ClusterTest, SingleShardClusterNeedsNoNetwork) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->rows.size(), 5u);
   EXPECT_EQ(cluster.network().stats().round_trips, 0u);
+}
+
+// ---- The cluster oracle itself must be able to fail ------------------------
+
+// A reverse-index row forged onto one shard's ProvDb changes the federated
+// answer but not the merged one (MergeInto replays owned rows only), and
+// the oracle names the first query that differs.
+TEST(ClusterOracleTest, ForgedShardRowFailsAndNamesTheQuery) {
+  ClusterCoordinator cluster(SmallCluster(3));
+  ASSERT_TRUE(WriteLineageChain(&cluster, 6, /*spread=*/3).ok());
+  auto stray = cluster.WriteWithLineage(1, "/stray", "s", {});
+  ASSERT_TRUE(stray.ok());
+  ASSERT_TRUE(cluster.Sync().ok());
+  const std::string descendants =
+      "select D from Provenance.file as F F.~input* as D "
+      "where F.name = \"/f0\"";
+  const std::vector<std::string> queries = {
+      "select Ancestor from Provenance.file as F F.input* as Ancestor "
+      "where F.name = \"/f5\"",
+      descendants,
+  };
+  ASSERT_EQ(CheckFederatedMatchesMerged(&cluster, queries).ToString(), "OK");
+
+  // /f0's shard now claims /stray as a descendant; /stray's owner does not.
+  auto f0 = cluster.RefOfPath(0, "/f0");
+  ASSERT_TRUE(f0.ok());
+  cluster.shard_db(0).Insert(
+      lasagna::LogEntry{*stray, core::Record::Input(*f0)});
+
+  Status status = CheckFederatedMatchesMerged(&cluster, queries);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(descendants), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ClusterOracleTest, EmptyMergedAnswerFails) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  ASSERT_TRUE(WriteLineageChain(&cluster, 4, /*spread=*/2).ok());
+  ASSERT_TRUE(cluster.Sync().ok());
+  const std::string nothing =
+      "select F from Provenance.file as F where F.name = \"/absent\"";
+  ASSERT_TRUE(MergedRows(cluster, nothing).ok());
+  EXPECT_TRUE(MergedRows(cluster, nothing)->empty());
+
+  Status status = CheckFederatedMatchesMerged(&cluster, {nothing});
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(nothing), std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

@@ -8,14 +8,13 @@
 
 #include <cstdlib>
 #include <new>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
+#include "src/cluster/oracle.h"
+#include "src/workloads/lineage_chain.h"
 
 // Binary-wide counting allocator: the zero-alloc probe test asserts the
 // warm cache-lookup path never reaches operator new. malloc stays the
@@ -67,60 +66,13 @@ class FederatedSourceTestPeer {
 
 namespace {
 
+using workloads::WriteLineageChain;
+
 ClusterOptions SmallCluster(int shards) {
   ClusterOptions options;
   options.shards = shards;
   options.ingest_batch_records = 16;
   return options;
-}
-
-// Chain /f0 -> /f1 -> ... striped round-robin over the first `spread`
-// shards (all of them by default).
-std::vector<core::ObjectRef> BuildCrossShardChain(ClusterCoordinator* cluster,
-                                                  int files, int spread = 0) {
-  if (spread == 0) {
-    spread = cluster->shard_count();
-  }
-  std::vector<core::ObjectRef> refs;
-  for (int i = 0; i < files; ++i) {
-    std::vector<core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster->WriteWithLineage(i % spread, "/f" + std::to_string(i),
-                                         "payload", sources);
-    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
-    refs.push_back(*ref);
-  }
-  return refs;
-}
-
-std::multiset<std::string> RunQuery(pql::GraphSource* source,
-                                    const std::string& query) {
-  pql::Engine engine(source);
-  auto result = engine.Run(query);
-  EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
-  std::multiset<std::string> out;
-  if (!result.ok()) {
-    return out;
-  }
-  for (const auto& row : result->rows) {
-    std::string line;
-    for (const pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    out.insert(line);
-  }
-  return out;
-}
-
-std::multiset<std::string> MergedAnswer(ClusterCoordinator* cluster,
-                                        const std::string& query) {
-  waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  return RunQuery(&merged_source, query);
 }
 
 const char kTailClosure[] =
@@ -129,12 +81,12 @@ const char kTailClosure[] =
 
 TEST(FederatedCacheTest, RepeatedQueriesAreServedFromTheCache) {
   ClusterCoordinator cluster(SmallCluster(4));
-  BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/4).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  auto first = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(first, MergedAnswer(&cluster, kTailClosure));
+  auto first = QueryRows(&source, kTailClosure).value();
+  EXPECT_EQ(first, MergedRows(cluster, kTailClosure).value());
   uint64_t rpc_after_first = source.stats().remote_ops;
   uint64_t hits_after_first = source.stats().cache_hits;
   EXPECT_GT(rpc_after_first, 0u);
@@ -143,7 +95,7 @@ TEST(FederatedCacheTest, RepeatedQueriesAreServedFromTheCache) {
 
   // The same query again: every edge list and attribute set is cached, so
   // the only new RPCs are the (uncached) root-set scatter.
-  auto second = RunQuery(&source, kTailClosure);
+  auto second = QueryRows(&source, kTailClosure).value();
   EXPECT_EQ(second, first);
   uint64_t scatter = static_cast<uint64_t>(cluster.shard_count()) - 1;
   EXPECT_EQ(source.stats().remote_ops, rpc_after_first + scatter);
@@ -155,12 +107,12 @@ TEST(FederatedCacheTest, RepeatedQueriesAreServedFromTheCache) {
 // re-route to the new owner — federated == merged before and after.
 TEST(FederatedCacheTest, MigrationInvalidatesWarmCacheAndReRoutes) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  auto before = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(before, MergedAnswer(&cluster, kTailClosure));
+  auto before = QueryRows(&source, kTailClosure).value();
+  EXPECT_EQ(before, MergedRows(cluster, kTailClosure).value());
   EXPECT_GT(source.cache_bytes_used(), 0u);
   uint64_t invalidated = source.stats().cache_entries_invalidated;
   uint64_t epoch = cluster.shard_map().epoch();
@@ -175,9 +127,9 @@ TEST(FederatedCacheTest, MigrationInvalidatesWarmCacheAndReRoutes) {
   // Same source object, post-migration: entries in the migrated range are
   // dropped (and only those — no full flush) and the query re-routes
   // through the live map to the new owner.
-  auto after = RunQuery(&source, kTailClosure);
+  auto after = QueryRows(&source, kTailClosure).value();
   EXPECT_EQ(after, before);
-  EXPECT_EQ(after, MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(after, MergedRows(cluster, kTailClosure).value());
   EXPECT_GT(source.stats().cache_entries_invalidated, invalidated);
   EXPECT_EQ(source.stats().cache_invalidations_full, 0u);
 }
@@ -195,7 +147,7 @@ TEST(FederatedCacheTest, IngestInvalidatesStaleEdgeLists) {
   // Portal on shard 1: /a lives on shard 0, so its reverse-edge list is a
   // remote lookup the portal caches.
   FederatedSource source = cluster.Source(/*portal_shard=*/1);
-  auto before = RunQuery(&source, descendants);
+  auto before = QueryRows(&source, descendants).value();
   EXPECT_EQ(before.size(), 2u);  // /a and /b
 
   // New lineage lands after the cache warmed: /c (on shard 1) descends from
@@ -203,33 +155,33 @@ TEST(FederatedCacheTest, IngestInvalidatesStaleEdgeLists) {
   // cached pre-sync edge list.
   ASSERT_TRUE(cluster.WriteWithLineage(1, "/c", "ccc", {*a}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  auto after = RunQuery(&source, descendants);
+  auto after = QueryRows(&source, descendants).value();
   EXPECT_EQ(after.size(), 3u);
-  EXPECT_EQ(after, MergedAnswer(&cluster, descendants));
+  EXPECT_EQ(after, MergedRows(cluster, descendants).value());
 }
 
 TEST(FederatedCacheTest, TinyCacheEvictsButStaysCorrect) {
   ClusterCoordinator cluster(SmallCluster(4));
-  BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/4).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0,
                                           /*cache_bytes=*/256);
-  auto got = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(got, MergedAnswer(&cluster, kTailClosure));
+  auto got = QueryRows(&source, kTailClosure).value();
+  EXPECT_EQ(got, MergedRows(cluster, kTailClosure).value());
   EXPECT_GT(source.stats().cache_evictions, 0u);
   EXPECT_LE(source.cache_bytes_used(), 256u);
 }
 
 TEST(FederatedCacheTest, ZeroBudgetDisablesCaching) {
   ClusterCoordinator cluster(SmallCluster(4));
-  BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/4).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0,
                                           /*cache_bytes=*/0);
-  auto got = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(got, MergedAnswer(&cluster, kTailClosure));
+  auto got = QueryRows(&source, kTailClosure).value();
+  EXPECT_EQ(got, MergedRows(cluster, kTailClosure).value());
   EXPECT_EQ(source.stats().cache_hits, 0u);
   EXPECT_EQ(source.cache_bytes_used(), 0u);
 }
@@ -242,14 +194,14 @@ TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   ClusterCoordinator cluster(SmallCluster(4));
   // Chain over shards 0-2 only: shard 3 is pure churn, so no cached pnode
   // shares a fingerprint bucket with the churn writes.
-  BuildCrossShardChain(&cluster, 12, /*spread=*/3);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/3).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource fine = cluster.Source(/*portal_shard=*/0);
   FederatedSource flush = cluster.Source(/*portal_shard=*/0);
   flush.set_whole_cache_invalidation(true);
-  auto before = RunQuery(&fine, kTailClosure);
-  EXPECT_EQ(before, RunQuery(&flush, kTailClosure));
+  auto before = QueryRows(&fine, kTailClosure).value();
+  EXPECT_EQ(before, QueryRows(&flush, kTailClosure).value());
 
   // Churn: new lineage-free files on shard 3 only. The chain's pnodes and
   // rows are untouched; only shard 3 buckets outside the chain move.
@@ -262,8 +214,8 @@ TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
 
   fine.ResetStats();
   flush.ResetStats();
-  auto fine_after = RunQuery(&fine, kTailClosure);
-  auto flush_after = RunQuery(&flush, kTailClosure);
+  auto fine_after = QueryRows(&fine, kTailClosure).value();
+  auto flush_after = QueryRows(&flush, kTailClosure).value();
   EXPECT_EQ(fine_after, before);
   EXPECT_EQ(flush_after, before);
   // Fine-grained: the warm entries survived — no invalidation of either
@@ -286,16 +238,16 @@ TEST(FederatedCacheTest, FingerprintCatchesMutationOfCachedRange) {
       "select D from Provenance.file as F F.~input* as D "
       "where F.name = \"/a\"";
   FederatedSource source = cluster.Source(/*portal_shard=*/1);
-  auto before = RunQuery(&source, descendants);
+  auto before = QueryRows(&source, descendants).value();
   EXPECT_EQ(before.size(), 1u);
 
   // /b descends from /a: replication inserts a reverse-index row keyed by
   // /a's pnode on shard 0, moving its bucket fingerprint.
   ASSERT_TRUE(cluster.WriteWithLineage(1, "/b", "bbb", {*a}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  auto after = RunQuery(&source, descendants);
+  auto after = QueryRows(&source, descendants).value();
   EXPECT_EQ(after.size(), 2u);
-  EXPECT_EQ(after, MergedAnswer(&cluster, descendants));
+  EXPECT_EQ(after, MergedRows(cluster, descendants).value());
   EXPECT_GT(source.stats().cache_entries_invalidated, 0u);
   EXPECT_EQ(source.stats().cache_invalidations_full, 0u);
 }
@@ -305,11 +257,12 @@ TEST(FederatedCacheTest, FingerprintCatchesMutationOfCachedRange) {
 // is a map lookup, and the LRU update is a splice.
 TEST(FederatedCacheTest, WarmCacheProbesAreAllocationFree) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  RunQuery(&source, kTailClosure);  // warm every edge list + name set
+  // Warm every edge list + name set.
+  ASSERT_TRUE(QueryRows(&source, kTailClosure).ok());
   FederatedSourceTestPeer peer(&source);
   uint32_t name_id = peer.Intern("name");  // intern outside the counted loop
   uint64_t hits_before = source.stats().cache_hits;
@@ -328,13 +281,13 @@ TEST(FederatedCacheTest, WarmCacheProbesAreAllocationFree) {
 
 TEST(FederatedCacheTest, CachedAndUncachedByteAccountingBalance) {
   ClusterCoordinator cluster(SmallCluster(4));
-  BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/4).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   uint64_t net_before = cluster.network().stats().bytes_sent +
                         cluster.network().stats().bytes_received;
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  RunQuery(&source, kTailClosure);
+  ASSERT_TRUE(QueryRows(&source, kTailClosure).ok());
   uint64_t net_after = cluster.network().stats().bytes_sent +
                        cluster.network().stats().bytes_received;
   // Remote request/response bytes are exactly what hit the wire; local

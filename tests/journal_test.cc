@@ -8,21 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/auditor.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/federated_source.h"
 #include "src/cluster/journal.h"
+#include "src/cluster/oracle.h"
 #include "src/cluster/tamper.h"
 #include "src/fs/memfs.h"
 #include "src/lasagna/log_format.h"
 #include "src/lasagna/recovery.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/sim/disk.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace pass::cluster {
 namespace {
@@ -30,6 +28,7 @@ namespace {
 using lasagna::JournalRecord;
 using lasagna::JournalRecordType;
 using lasagna::LogEntry;
+using workloads::WriteLineageChain;
 
 // ---- Codec / scan units -----------------------------------------------------
 
@@ -346,68 +345,22 @@ ClusterOptions CrashClusterOptions() {
 
 // Cross-shard lineage between shards 0 and 1 only; shard 2 stays cold so a
 // migration to it moves rows nothing was ever replicated to.
-void RunChainWorkload(ClusterCoordinator* cluster, int files) {
-  std::vector<core::ObjectRef> refs;
-  for (int i = 0; i < files; ++i) {
-    int shard = i % 2;
-    std::vector<core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster->WriteWithLineage(shard, "/f" + std::to_string(i),
-                                         "payload-" + std::to_string(i),
-                                         sources);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    refs.push_back(*ref);
-  }
-}
+constexpr int kChainSpread = 2;
 
-std::multiset<std::string> RunQuery(pql::GraphSource* source,
-                                    const std::string& query) {
-  pql::Engine engine(source);
-  auto result = engine.Run(query);
-  EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
-  std::multiset<std::string> out;
-  if (!result.ok()) {
-    return out;
-  }
-  for (const auto& row : result->rows) {
-    std::string line;
-    for (const pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    out.insert(line);
-  }
-  return out;
-}
-
-void ExpectFederatedMatchesMerged(ClusterCoordinator* cluster,
-                                  const std::string& context) {
-  waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  const char* const kQueries[] = {
-      "select Ancestor from Provenance.file as F F.input* as Ancestor "
-      "where F.name = \"/f7\"",
-      "select D from Provenance.file as F F.~input* as D "
-      "where F.name = \"/f0\"",
-      "select F.name from Provenance.file as F",
-  };
-  for (const char* query : kQueries) {
-    auto want = RunQuery(&merged_source, query);
-    auto got = RunQuery(&federated, query);
-    EXPECT_EQ(got, want) << context << ": " << query;
-    EXPECT_FALSE(want.empty()) << context << ": " << query;
-  }
-}
+// Federated == merged probes over that chain, checked through the oracle.
+const std::vector<std::string> kQueries = {
+    "select Ancestor from Provenance.file as F F.input* as Ancestor "
+    "where F.name = \"/f7\"",
+    "select D from Provenance.file as F F.~input* as D "
+    "where F.name = \"/f0\"",
+    "select F.name from Provenance.file as F",
+};
 
 // Crash points a clean Sync() passes on this workload. Deterministic: the
 // sweep below replays the identical cluster for each index.
 uint64_t CountSyncCrashPoints(int files) {
   ClusterCoordinator cluster(CrashClusterOptions());
-  RunChainWorkload(&cluster, files);
+  EXPECT_TRUE(WriteLineageChain(&cluster, files, kChainSpread).ok());
   uint64_t before = cluster.env().crash_points_passed();
   EXPECT_TRUE(cluster.Sync().ok());
   return cluster.env().crash_points_passed() - before;
@@ -422,7 +375,7 @@ TEST(JournalCrashTest, SyncCrashAtEveryPointRecovers) {
 
   for (uint64_t point = 0; point < points; ++point) {
     ClusterCoordinator cluster(CrashClusterOptions());
-    RunChainWorkload(&cluster, kFiles);
+    ASSERT_TRUE(WriteLineageChain(&cluster, kFiles, kChainSpread).ok());
     cluster.env().CrashAfterOps(point);
     Status crashed = cluster.Sync();
     EXPECT_FALSE(crashed.ok()) << "point " << point;
@@ -433,8 +386,8 @@ TEST(JournalCrashTest, SyncCrashAtEveryPointRecovers) {
         << "point " << point << ": " << recovery.status().ToString();
     EXPECT_FALSE(cluster.env().crashed());
     EXPECT_EQ(recovery->shard_map_epoch, cluster.shard_map().epoch());
-    ExpectFederatedMatchesMerged(
-        &cluster, "sync crash at point " + std::to_string(point));
+    EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+        << "sync crash at point " + std::to_string(point);
 
     // Recovery converged: a second pass finds nothing left to repair.
     auto again = cluster.Recover();
@@ -452,7 +405,7 @@ TEST(JournalCrashTest, SyncCrashAtEveryPointRecovers) {
 // Crash points a clean MigrateRange passes after the same workload + sync.
 uint64_t CountMigrationCrashPoints(int files, core::PnodeRange* range_out) {
   ClusterCoordinator cluster(CrashClusterOptions());
-  RunChainWorkload(&cluster, files);
+  EXPECT_TRUE(WriteLineageChain(&cluster, files, kChainSpread).ok());
   EXPECT_TRUE(cluster.Sync().ok());
   core::PnodeRange range{core::ShardSpace(0).begin,
                          cluster.machine(0).allocator().peek_next()};
@@ -475,7 +428,7 @@ TEST(JournalCrashTest, MigrationCrashBetweenEveryPhaseRecovers) {
 
   for (uint64_t point = 0; point < points; ++point) {
     ClusterCoordinator cluster(CrashClusterOptions());
-    RunChainWorkload(&cluster, kFiles);
+    ASSERT_TRUE(WriteLineageChain(&cluster, kFiles, kChainSpread).ok());
     ASSERT_TRUE(cluster.Sync().ok());
     uint64_t epoch_before = cluster.shard_map().epoch();
 
@@ -511,7 +464,8 @@ TEST(JournalCrashTest, MigrationCrashBetweenEveryPhaseRecovers) {
     }
     EXPECT_EQ(recovery->shard_map_epoch, cluster.shard_map().epoch())
         << context;
-    ExpectFederatedMatchesMerged(&cluster, context);
+    EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+        << context;
 
     // Recovery converged: a second pass finds nothing left to repair (the
     // checkpoint dropped applied batches and closed aborted migrations).
@@ -527,7 +481,8 @@ TEST(JournalCrashTest, MigrationCrashBetweenEveryPhaseRecovers) {
     auto retry = cluster.MigrateRange(range, 2);
     ASSERT_TRUE(retry.ok()) << context;
     EXPECT_EQ(cluster.shard_map().OwnerOfRange(range), 2) << context;
-    ExpectFederatedMatchesMerged(&cluster, context + " after retry");
+    EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+        << context + " after retry";
   }
 }
 
@@ -535,13 +490,13 @@ TEST(JournalCrashTest, MigrationCrashBetweenEveryPhaseRecovers) {
 // torn record is classified and dropped, everything durable replays.
 TEST(JournalCrashTest, RecoveryToleratesTornJournalTail) {
   ClusterCoordinator cluster(CrashClusterOptions());
-  RunChainWorkload(&cluster, 8);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 8, kChainSpread).ok());
   // Crash just after the first journaled batch (REPL_BATCH durable, never
   // sent), then tear that journal's tail by a few bytes.
   uint64_t points = 0;
   {
     ClusterCoordinator twin(CrashClusterOptions());
-    RunChainWorkload(&twin, 8);
+    ASSERT_TRUE(WriteLineageChain(&twin, 8, kChainSpread).ok());
     uint64_t before = twin.env().crash_points_passed();
     EXPECT_TRUE(twin.Sync().ok());
     points = twin.env().crash_points_passed() - before;
@@ -563,7 +518,8 @@ TEST(JournalCrashTest, RecoveryToleratesTornJournalTail) {
   auto recovery = cluster.Recover();
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
   EXPECT_GT(recovery->truncated_journals, 0u);
-  ExpectFederatedMatchesMerged(&cluster, "torn journal tail");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "torn journal tail";
 }
 
 // ---- Hash chain + audit interaction -----------------------------------------
@@ -647,7 +603,7 @@ TEST_F(ClusterJournalTest, ChainHeadTracksDurableImageAcrossGroups) {
 // still intact and the damage lies strictly beyond the sealed prefix.
 TEST(JournalCrashTest, TornGroupCommitTailBeyondSealIsBenign) {
   ClusterCoordinator cluster(CrashClusterOptions());
-  RunChainWorkload(&cluster, 8);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 8, kChainSpread).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   // Seal after the sync: only journals are on disk (logs were consumed).
@@ -696,7 +652,7 @@ TEST(JournalCrashTest, TornGroupCommitTailBeyondSealIsBenign) {
 // custody audit convicts it.
 TEST(JournalCrashTest, TamperBeforeCrashSurvivesRecoveryAndIsCaught) {
   ClusterCoordinator cluster(CrashClusterOptions());
-  RunChainWorkload(&cluster, 8);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 8, kChainSpread).ok());
   ASSERT_TRUE(cluster.Sync().ok());
   core::PnodeRange range{core::ShardSpace(0).begin,
                          cluster.machine(0).allocator().peek_next()};
@@ -741,7 +697,8 @@ TEST(JournalCrashTest, TamperBeforeCrashSurvivesRecoveryAndIsCaught) {
   // epoch replay, and the checkpoint preserves them verbatim.
   auto recovery = cluster.Recover();
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-  ExpectFederatedMatchesMerged(&cluster, "tamper before crash");
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+      << "tamper before crash";
 
   // The first post-recovery custody audit pinpoints the rewrite.
   AuditReport report = auditor.AuditAll(

@@ -292,5 +292,16 @@ TEST_F(NfsTest, CrashRecoveryOnServerLog) {
   EXPECT_GT(report->complete_txns, 0u);
 }
 
+// An untrusted pass_prov request whose bundle claims 2^32-1 entries gets an
+// error response; the server never tries to allocate for the claimed count.
+TEST_F(NfsTest, PassProvWithCorruptBundleCountIsRejected) {
+  NfsRequest request;
+  request.op = NfsOp::kPassProv;
+  request.bundle = "\xFF\xFF\xFF\xFF";
+  NfsResponse response;
+  EXPECT_NO_THROW(response = server_.Handle(request));
+  EXPECT_EQ(response.code, Code::kCorrupt) << response.error;
+}
+
 }  // namespace
 }  // namespace pass::nfs

@@ -20,9 +20,12 @@
 #include "src/pql/eval.h"
 #include "src/sim/clock.h"
 #include "src/util/logging.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace pass::obs {
 namespace {
+
+using workloads::WriteLineageChain;
 
 // ---- Histogram ------------------------------------------------------------
 
@@ -252,21 +255,6 @@ cluster::ClusterOptions SmallCluster(int shards) {
   return options;
 }
 
-void BuildChain(cluster::ClusterCoordinator* cluster, int files) {
-  std::vector<core::ObjectRef> refs;
-  for (int i = 0; i < files; ++i) {
-    std::vector<core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster->WriteWithLineage(i % cluster->shard_count(),
-                                         "/f" + std::to_string(i), "payload",
-                                         sources);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    refs.push_back(*ref);
-  }
-}
-
 // Every span reachable from exactly one root, and the root is `root_name`.
 void ExpectSingleTree(const std::vector<SpanRecord>& spans,
                       const std::string& root_name, int want_shard_children) {
@@ -298,7 +286,7 @@ void ExpectSingleTree(const std::vector<SpanRecord>& spans,
 
 TEST(ObsClusterTest, OneSyncIsOneConnectedSpanTree) {
   cluster::ClusterCoordinator cluster(SmallCluster(3));
-  BuildChain(&cluster, 9);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 9, cluster.shard_count()).ok());
 
   TraceCollector& trace = cluster.env().obs().trace();
   trace.set_enabled(true);
@@ -328,7 +316,7 @@ TEST(ObsClusterTest, OneSyncIsOneConnectedSpanTree) {
 
 TEST(ObsClusterTest, FederatedQueryIsOneConnectedSpanTree) {
   cluster::ClusterCoordinator cluster(SmallCluster(3));
-  BuildChain(&cluster, 9);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 9, cluster.shard_count()).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   cluster::FederatedSource source = cluster.Source(/*portal_shard=*/0);
@@ -365,8 +353,8 @@ TEST(ObsClusterTest, TracingNeverAdvancesSimTime) {
   cluster::ClusterCoordinator traced(SmallCluster(3));
   traced.env().obs().trace().set_enabled(true);
 
-  BuildChain(&plain, 12);
-  BuildChain(&traced, 12);
+  ASSERT_TRUE(WriteLineageChain(&plain, 12, plain.shard_count()).ok());
+  ASSERT_TRUE(WriteLineageChain(&traced, 12, traced.shard_count()).ok());
   ASSERT_TRUE(plain.Sync().ok());
   ASSERT_TRUE(traced.Sync().ok());
   ASSERT_TRUE(plain.Rebalance().migrations >= 0);
@@ -380,7 +368,7 @@ TEST(ObsClusterTest, ExportersAreDeterministic) {
   auto run = [](std::string* json, std::string* text) {
     cluster::ClusterCoordinator cluster(SmallCluster(3));
     cluster.env().obs().trace().set_enabled(true);
-    BuildChain(&cluster, 9);
+    ASSERT_TRUE(WriteLineageChain(&cluster, 9, cluster.shard_count()).ok());
     ASSERT_TRUE(cluster.Sync().ok());
     cluster::FederatedSource source = cluster.Source(0);
     pql::Engine engine(&source);
@@ -406,7 +394,7 @@ TEST(ObsClusterTest, ExportersAreDeterministic) {
 
 TEST(ObsClusterTest, ResetStatsZeroesHolderCounters) {
   cluster::ClusterCoordinator cluster(SmallCluster(2));
-  BuildChain(&cluster, 6);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 6, cluster.shard_count()).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   cluster::FederatedSource source = cluster.Source(0);
@@ -433,7 +421,7 @@ TEST(ObsClusterTest, ResetStatsZeroesHolderCounters) {
 
 TEST(ObsClusterTest, StatsBridgePublishesIntoRegistry) {
   cluster::ClusterCoordinator cluster(SmallCluster(2));
-  BuildChain(&cluster, 6);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 6, cluster.shard_count()).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   MetricRegistry reg;  // a private registry: Publish works against any

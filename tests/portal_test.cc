@@ -5,18 +5,19 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/oracle.h"
 #include "src/cluster/portal.h"
 #include "src/obs/stats_bridge.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
+#include "src/workloads/lineage_chain.h"
 
 namespace pass::cluster {
 namespace {
+
+using workloads::WriteLineageChain;
 
 ClusterOptions SmallCluster(int shards) {
   ClusterOptions options;
@@ -25,52 +26,11 @@ ClusterOptions SmallCluster(int shards) {
   return options;
 }
 
-std::vector<core::ObjectRef> BuildCrossShardChain(ClusterCoordinator* cluster,
-                                                  int files) {
-  std::vector<core::ObjectRef> refs;
-  for (int i = 0; i < files; ++i) {
-    std::vector<core::ObjectRef> sources;
-    if (i > 0) {
-      sources.push_back(refs.back());
-    }
-    auto ref = cluster->WriteWithLineage(i % cluster->shard_count(),
-                                         "/f" + std::to_string(i), "payload",
-                                         sources);
-    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
-    refs.push_back(*ref);
-  }
-  return refs;
-}
-
-std::multiset<std::string> Rows(const pql::QueryResult& result) {
-  std::multiset<std::string> out;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    out.insert(line);
-  }
-  return out;
-}
-
-std::multiset<std::string> MergedAnswer(ClusterCoordinator* cluster,
-                                        const std::string& query) {
-  waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  pql::Engine engine(&merged_source);
-  auto result = engine.Run(query);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? Rows(*result) : std::multiset<std::string>{};
-}
-
-std::multiset<std::string> SessionAnswer(PortalSession* session,
-                                         const std::string& query) {
+std::vector<std::string> SessionAnswer(PortalSession* session,
+                                       const std::string& query) {
   auto result = session->Run(query);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? Rows(*result) : std::multiset<std::string>{};
+  return result.ok() ? result->RowKeys() : std::vector<std::string>{};
 }
 
 const char kTailClosure[] =
@@ -79,7 +39,7 @@ const char kTailClosure[] =
 
 TEST(PortalSessionTest, PinCapturesEpochAndJournalHorizons) {
   ClusterCoordinator cluster(SmallCluster(4));
-  BuildCrossShardChain(&cluster, 8);
+  ASSERT_TRUE(WriteLineageChain(&cluster, 8, /*spread=*/4).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
   PortalTier tier(&cluster);
@@ -103,7 +63,7 @@ TEST(PortalSessionTest, PinCapturesEpochAndJournalHorizons) {
 // session follows the live map.
 TEST(PortalSessionTest, PinnedSessionAnswersConsistentlyAcrossMigration) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
   PortalTier tier(&cluster);
@@ -111,7 +71,7 @@ TEST(PortalSessionTest, PinnedSessionAnswersConsistentlyAcrossMigration) {
   ASSERT_TRUE(opened.ok());
   PortalSession* session = opened->get();
   auto before = SessionAnswer(session, kTailClosure);
-  EXPECT_EQ(before, MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(before, MergedRows(cluster, kTailClosure).value());
 
   // Live migration while the session stays pinned: /f5's range (shard 1)
   // moves to shard 3. The source-side delete must be held back.
@@ -126,7 +86,7 @@ TEST(PortalSessionTest, PinnedSessionAnswersConsistentlyAcrossMigration) {
   // rows are intact, so the answer is unchanged and equals the merged view.
   auto during = SessionAnswer(session, kTailClosure);
   EXPECT_EQ(during, before);
-  EXPECT_EQ(during, MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(during, MergedRows(cluster, kTailClosure).value());
 
   // Re-pin: the old pin releases, the deferred delete retires, and the
   // session adopts the bumped map — same answers through the new owner.
@@ -136,13 +96,13 @@ TEST(PortalSessionTest, PinnedSessionAnswersConsistentlyAcrossMigration) {
   EXPECT_EQ(session->pinned_epoch(), cluster.shard_map().epoch());
   auto after = SessionAnswer(session, kTailClosure);
   EXPECT_EQ(after, before);
-  EXPECT_EQ(after, MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(after, MergedRows(cluster, kTailClosure).value());
 }
 
 // Closing the pinned session (not just RePin) must also release deferrals.
 TEST(PortalSessionTest, ClosingSessionRetiresDeferredDeletes) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
   PortalTier tier(&cluster);
@@ -157,11 +117,8 @@ TEST(PortalSessionTest, ClosingSessionRetiresDeferredDeletes) {
   EXPECT_EQ(cluster.deferred_retirements(), 0u);
   // The migrated rows now live only on the destination; a fresh portal and
   // the merged view agree.
-  FederatedSource source = cluster.Source();
-  pql::Engine engine(&source);
-  auto result = engine.Run(kTailClosure);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(Rows(*result), MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, {kTailClosure}).ToString(),
+            "OK");
 }
 
 // Regression: a deferred source-side delete must not fire after a later
@@ -170,7 +127,7 @@ TEST(PortalSessionTest, ClosingSessionRetiresDeferredDeletes) {
 // without the delete), not left to destroy rows the shard now owns.
 TEST(PortalSessionTest, MigratingBackCancelsOverlappingDeferredDelete) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
   PortalTier tier(&cluster);
@@ -178,7 +135,7 @@ TEST(PortalSessionTest, MigratingBackCancelsOverlappingDeferredDelete) {
   ASSERT_TRUE(opened.ok());
   PortalSession* session = opened->get();
   auto before = SessionAnswer(session, kTailClosure);
-  ASSERT_EQ(before, MergedAnswer(&cluster, kTailClosure));
+  ASSERT_EQ(before, MergedRows(cluster, kTailClosure).value());
 
   core::PnodeRange range{refs[5].pnode, refs[5].pnode + 1};
   int home = cluster.OwnerOf(refs[5].pnode);
@@ -198,7 +155,7 @@ TEST(PortalSessionTest, MigratingBackCancelsOverlappingDeferredDelete) {
   EXPECT_EQ(cluster.deferred_retirements(), 0u);
   auto after = SessionAnswer(session, kTailClosure);
   EXPECT_EQ(after, before);
-  EXPECT_EQ(after, MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(after, MergedRows(cluster, kTailClosure).value());
 }
 
 // Same scenario through a crash: the cancelled migration is committed on
@@ -206,9 +163,9 @@ TEST(PortalSessionTest, MigratingBackCancelsOverlappingDeferredDelete) {
 // its delete either.
 TEST(PortalSessionTest, RecoveryAfterMigrateBackKeepsReShippedRows) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
-  auto merged_before = MergedAnswer(&cluster, kTailClosure);
+  auto merged_before = MergedRows(cluster, kTailClosure).value();
 
   PortalTier tier(&cluster);
   auto opened = tier.Open();
@@ -226,12 +183,9 @@ TEST(PortalSessionTest, RecoveryAfterMigrateBackKeepsReShippedRows) {
   EXPECT_EQ(cluster.deferred_retirements(), 0u);
   EXPECT_EQ(cluster.OwnerOf(refs[5].pnode), home);
 
-  FederatedSource source = cluster.Source();
-  pql::Engine engine(&source);
-  auto result = engine.Run(kTailClosure);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(Rows(*result), merged_before);
-  EXPECT_EQ(Rows(*result), MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(MergedRows(cluster, kTailClosure).value(), merged_before);
+  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, {kTailClosure}).ToString(),
+            "OK");
   ASSERT_TRUE(tier.Close(id).ok());  // pre-crash session just unpins cleanly
 }
 
@@ -239,7 +193,7 @@ TEST(PortalSessionTest, RecoveryAfterMigrateBackKeepsReShippedRows) {
 // since the old pin drop; the rest keep their bytes.
 TEST(PortalSessionTest, RePinKeepsUnaffectedCacheEntries) {
   ClusterCoordinator cluster(SmallCluster(4));
-  auto refs = BuildCrossShardChain(&cluster, 12);
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/4).value();
   ASSERT_TRUE(cluster.Sync().ok());
 
   PortalTier tier(&cluster);

@@ -106,6 +106,17 @@ TEST(BundleTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ((*decoded)[1].records[0], Record::Type("PROC"));
 }
 
+// A corrupt entry count must not turn into a huge allocation: the decoder
+// rejects the truncated input instead of throwing std::bad_alloc.
+TEST(BundleTest, DecodeRejectsHugeCountWithoutAllocating) {
+  const std::string buf = "\xFF\xFF\xFF\xFF";
+  Decoder in(buf);
+  Result<Bundle> decoded = Bundle{};
+  EXPECT_NO_THROW(decoded = DecodeBundle(&in));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), Code::kCorrupt);
+}
+
 TEST(BundleTest, AppendCoalescesConsecutiveSubjects) {
   Bundle bundle;
   AppendToBundle(&bundle, ObjectRef{1, 0}, Record::Name("/a"));

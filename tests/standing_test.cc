@@ -1,8 +1,9 @@
 // Tests for the standing-query tier: PQL queries registered once and kept
 // incrementally fresh over streaming audit ingest. The invariant under test
 // everywhere: after every Refresh(), a standing query's materialized result
-// equals a from-scratch evaluation of the same text over a fresh federated
-// source — across plain ingest rounds, live migration, and crash+Recover.
+// equals a from-scratch evaluation of the same text over the merged
+// single-database view (src/cluster/oracle.h) — across plain ingest rounds,
+// live migration, and crash+Recover.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/oracle.h"
 #include "src/cluster/standing.h"
 #include "src/pql/eval.h"
 #include "src/workloads/audit_stream.h"
@@ -38,35 +40,20 @@ AuditStreamOptions SmallStream() {
   return options;
 }
 
-std::set<std::string> RowSet(const pql::QueryResult& result) {
-  std::set<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.insert(line);
-  }
-  return rows;
-}
+// The taint watchlists, checked against the merged single-database answer.
+const std::string kDescendants = AuditStreamGenerator::TaintDescendantQuery();
+const std::string kAncestry = AuditStreamGenerator::TaintAncestryQuery();
 
-// The naive baseline: re-evaluate the text from scratch over a fresh
-// federated source wired to the live map.
-std::set<std::string> FullAnswer(ClusterCoordinator* cluster,
-                                 const std::string& query) {
-  FederatedSource source = cluster->Source();
-  pql::Engine engine(&source);
-  auto result = engine.Run(query);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? RowSet(*result) : std::set<std::string>{};
+// A standing result holds distinct rows, so answers compare as sets.
+std::set<std::string> Distinct(const std::vector<std::string>& rows) {
+  return {rows.begin(), rows.end()};
 }
 
 std::set<std::string> StandingAnswer(const StandingQueryTier& tier,
                                      uint64_t id) {
   auto result = tier.ResultOf(id);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? RowSet(*result) : std::set<std::string>{};
+  return result.ok() ? Distinct(result->RowKeys()) : std::set<std::string>{};
 }
 
 TEST(StandingQueryTest, IncrementalMatchesFullEvalEachRound) {
@@ -90,10 +77,10 @@ TEST(StandingQueryTest, IncrementalMatchesFullEvalEachRound) {
     auto notes = tier.Refresh();
     ASSERT_TRUE(notes.ok()) << notes.status().ToString();
     EXPECT_EQ(StandingAnswer(tier, *descend),
-              FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()))
+              Distinct(MergedRows(cluster, kDescendants).value()))
         << "round " << round;
     EXPECT_EQ(StandingAnswer(tier, *ancestry),
-              FullAnswer(&cluster, AuditStreamGenerator::TaintAncestryQuery()))
+              Distinct(MergedRows(cluster, kAncestry).value()))
         << "round " << round;
   }
   // Only the registration seeds ran as full evaluations.
@@ -133,11 +120,7 @@ TEST(StandingQueryTest, NotificationsAppearExactlyOnce) {
     ASSERT_TRUE(notes.ok());
     for (const StandingNotification& note : *notes) {
       EXPECT_EQ(note.query_id, *id);
-      std::string line;
-      for (const pql::Value& value : note.row) {
-        line += value.ToString();
-        line += '|';
-      }
+      std::string line = pql::RowKey(note.row);
       // A row never notifies twice while it stays present.
       EXPECT_TRUE(notified.insert(line).second) << line;
     }
@@ -177,7 +160,8 @@ TEST(StandingQueryTest, NonIncrementalShapesFallBackAndStayCorrect) {
   for (int round = 0; round < 3; ++round) {
     ASSERT_TRUE(stream.StreamRound().ok());
     ASSERT_TRUE(tier.Refresh().ok());
-    EXPECT_EQ(StandingAnswer(tier, *id), FullAnswer(&cluster, join))
+    EXPECT_EQ(StandingAnswer(tier, *id),
+              Distinct(MergedRows(cluster, join).value()))
         << "round " << round;
   }
   EXPECT_GT(tier.stats().full_evals, 0u);
@@ -204,7 +188,8 @@ TEST(StandingQueryTest, AffectedWalkOverflowFallsBackWithoutDivergence) {
   for (int round = 0; round < 3; ++round) {
     ASSERT_TRUE(stream.StreamRound().ok());
     ASSERT_TRUE(tier.Refresh().ok());
-    EXPECT_EQ(StandingAnswer(tier, *id), FullAnswer(&cluster, attrs_only))
+    EXPECT_EQ(StandingAnswer(tier, *id),
+              Distinct(MergedRows(cluster, attrs_only).value()))
         << "round " << round;
   }
   EXPECT_GT(tier.stats().walk_overflows, 0u);
@@ -235,9 +220,8 @@ TEST(StandingQueryTest, EvalLimitErrorsSurfaceAndUnregisterRecovers) {
 
   ASSERT_TRUE(tier.Unregister(*bounded).ok());
   ASSERT_TRUE(tier.Refresh().ok());
-  EXPECT_EQ(
-      StandingAnswer(tier, *healthy),
-      FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()));
+  EXPECT_EQ(StandingAnswer(tier, *healthy),
+            Distinct(MergedRows(cluster, kDescendants).value()));
 }
 
 TEST(StandingQueryTest, SurvivesLiveMigrationMidStream) {
@@ -261,14 +245,13 @@ TEST(StandingQueryTest, SurvivesLiveMigrationMidStream) {
   ASSERT_TRUE(cluster.MigrateRange(range, 2).ok());
   ASSERT_TRUE(tier.Refresh().ok());
   EXPECT_EQ(StandingAnswer(tier, *id),
-            FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()));
+            Distinct(MergedRows(cluster, kDescendants).value()));
 
   for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(stream.StreamRound().ok());
     ASSERT_TRUE(tier.Refresh().ok());
-    EXPECT_EQ(
-        StandingAnswer(tier, *id),
-        FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()))
+    EXPECT_EQ(StandingAnswer(tier, *id),
+              Distinct(MergedRows(cluster, kDescendants).value()))
         << "post-migration round " << round;
   }
 
@@ -277,7 +260,7 @@ TEST(StandingQueryTest, SurvivesLiveMigrationMidStream) {
   ASSERT_TRUE(stream.StreamRound().ok());
   ASSERT_TRUE(tier.Refresh().ok());
   EXPECT_EQ(StandingAnswer(tier, *id),
-            FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()));
+            Distinct(MergedRows(cluster, kDescendants).value()));
 }
 
 // Crash points a clean (seed + one round + refresh, then another round)
@@ -341,18 +324,16 @@ TEST(StandingQueryTest, CrashDuringIngestRecoversConsistently) {
       EXPECT_TRUE(notified.insert(line).second)
           << "duplicate notification at point " << point << ": " << line;
     }
-    EXPECT_EQ(
-        StandingAnswer(tier, *id),
-        FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()))
+    EXPECT_EQ(StandingAnswer(tier, *id),
+              Distinct(MergedRows(cluster, kDescendants).value()))
         << "point " << point;
     EXPECT_EQ(notified, StandingAnswer(tier, *id)) << "point " << point;
 
     // The repaired cluster keeps streaming and the tier keeps up.
     ASSERT_TRUE(stream.StreamRound().ok()) << "point " << point;
     ASSERT_TRUE(tier.Refresh().ok()) << "point " << point;
-    EXPECT_EQ(
-        StandingAnswer(tier, *id),
-        FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()))
+    EXPECT_EQ(StandingAnswer(tier, *id),
+              Distinct(MergedRows(cluster, kDescendants).value()))
         << "point " << point;
   }
 }
