@@ -52,7 +52,7 @@ using pass::cluster::Auditor;
 using pass::cluster::CheckFederatedMatchesMerged;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::TamperClass;
+using pass::cluster::ExpectedTamperClass;
 using pass::cluster::TamperClassName;
 using pass::cluster::TamperFs;
 using pass::cluster::TamperKind;
@@ -95,21 +95,6 @@ void BuildWorkload(ClusterCoordinator* cluster, int files,
 std::string TailAncestry(int files) {
   return "select Ancestor from Provenance.file as F F.input* as Ancestor "
          "where F.name = \"/f" + std::to_string(files - 1) + "\"";
-}
-
-TamperClass ExpectedClass(TamperKind kind) {
-  switch (kind) {
-    case TamperKind::kFlipByte:
-    case TamperKind::kFlipByteFixCrc:
-      return TamperClass::kRowEdit;
-    case TamperKind::kDeleteFrame:
-    case TamperKind::kTruncateAtFrame:
-    case TamperKind::kTruncateMidFrame:
-      return TamperClass::kTruncation;
-    case TamperKind::kSwapFrames:
-      return TamperClass::kReordering;
-  }
-  return TamperClass::kNone;
 }
 
 // Every sealed on-disk file of the cluster: per-shard journals + live logs.
@@ -296,7 +281,7 @@ int main(int argc, char** argv) {
         const pass::cluster::AuditFinding& finding = report.findings[0];
         PASS_CHECK(finding.file == path);
         PASS_CHECK(finding.shard == shard);
-        PASS_CHECK(finding.klass == ExpectedClass(site.kind));
+        PASS_CHECK(finding.klass == ExpectedTamperClass(site.kind));
         PASS_CHECK(finding.frame == site.frame);
         ++tally.detected;
         ++detected;

@@ -12,9 +12,8 @@
 namespace pass::cluster {
 
 ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
-    : options_(options),
-      env_(options.seed),
-      net_(&env_.clock(), options.net_params),
+    : env_(options.seed),
+      net_(&env_.clock()),
       shard_map_(options.shards) {
   PASS_CHECK(options.shards >= 1);
   machines_.reserve(options.shards);
@@ -26,8 +25,6 @@ ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
     machine_options.with_pass = true;
     machine_options.shared_env = &env_;
     machine_options.shard = static_cast<uint16_t>(shard);
-    machine_options.cycle_algorithm = options.cycle_algorithm;
-    machine_options.lasagna_options = options.lasagna_options;
     machines_.push_back(
         std::make_unique<workloads::Machine>(machine_options));
     worker_pids_.push_back(machines_.back()->Spawn("clusterd"));
@@ -88,9 +85,7 @@ Status ClusterCoordinator::Sync() {
       PASS_RETURN_IF_ERROR(volume->ForceRotate());
       // Recover the closed logs exactly as a restarted Waldo would: complete
       // transactions survive, orphans and torn tails are discarded.
-      PASS_ASSIGN_OR_RETURN(
-          report,
-          lasagna::RunRecovery(&m.basefs(), options_.lasagna_options.log_dir));
+      PASS_ASSIGN_OR_RETURN(report, lasagna::RunRecovery(&m.basefs()));
     }
     // Replication batches born from this shard's logs journal here.
     queue_->SetJournal(journals_[shard].get());

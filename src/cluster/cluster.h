@@ -63,9 +63,6 @@ struct ClusterOptions {
   // Bound on journaled-but-unacknowledged transfers in flight before the
   // shipper blocks (backpressure).
   size_t max_in_flight_batches = 16;
-  sim::NetParams net_params;
-  lasagna::LasagnaOptions lasagna_options;
-  core::CycleAlgorithm cycle_algorithm = core::CycleAlgorithm::kCycleAvoidance;
 };
 
 // One completed MigrateRange.
@@ -327,7 +324,6 @@ class ClusterCoordinator {
   // the MIGRATE_COMMIT that closes its migration. Returns rows deleted.
   uint64_t RetireEligible();
 
-  ClusterOptions options_;
   sim::Env env_;
   sim::Network net_;
   ShardMap shard_map_;

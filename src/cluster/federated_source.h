@@ -114,9 +114,9 @@ class FederatedSource : public pql::GraphSource {
   // ShardMap epoch or the sum of all shards' mutation_count() moves — the
   // pre-fingerprint behavior whose hit ratio collapses under ingest churn.
   void set_whole_cache_invalidation(bool on) { whole_cache_ = on; }
-  // Uniform with Disk/Net/Lasagna/IngestQueue: zero the counters so benches
-  // can measure phases (the cache itself is untouched — only the counters
-  // reset, so a warm-cache phase reports pure-hit numbers).
+  // Zero the counters so benches can measure phases (the cache itself is
+  // untouched — only the counters reset, so a warm-cache phase reports
+  // pure-hit numbers).
   void ResetStats() { stats_ = FederatedStats(); }
   size_t cache_bytes_used() const { return cache_bytes_; }
   size_t cache_capacity() const { return cache_capacity_; }

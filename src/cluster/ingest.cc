@@ -70,17 +70,15 @@ void IngestQueue::Seal(int destination) {
 
 void IngestQueue::RecordAck(const SealedBatch& batch) {
   ++stats_.batches_acked;
-  if (env_ != nullptr) {
-    env_->obs()
-        .metrics()
-        .GetHistogram("ingest.ack_ns")
-        .Record(Now() - batch.enqueued_at);
-  }
+  env_->obs()
+      .metrics()
+      .GetHistogram("ingest.ack_ns")
+      .Record(Now() - batch.enqueued_at);
 }
 
 void IngestQueue::FlushShardSync(int destination) {
   auto& queue = pending_[destination];
-  if (queue.empty() || Crashed()) {
+  if (queue.empty() || env_->crashed()) {
     return;
   }
   obs::TraceCollector* trace = Trace();
@@ -93,7 +91,7 @@ void IngestQueue::FlushShardSync(int destination) {
     obs::ScopedSpan journal_span(trace, "journal.repl_batch");
     batch_id = journal_->AppendReplBatch(destination, queue);
   }
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // journaled but never sent: recovery redelivers
   }
   // InsertUnique: redelivery of this batch after a crash cannot duplicate
@@ -103,7 +101,7 @@ void IngestQueue::FlushShardSync(int destination) {
   ++stats_.batches_sent;
   stats_.bytes_sent += delivery.bytes;
   stats_.entries_replicated += delivery.inserted;
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // applied but unacknowledged: redelivery is a no-op
   }
   if (journal_ != nullptr) {
@@ -114,13 +112,10 @@ void IngestQueue::FlushShardSync(int destination) {
   acked.enqueued_at = pending_since_[destination];
   queue.clear();
   RecordAck(acked);
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    obs::Labels labels = ShardLabel(destination);
-    metrics.GetCounter("ingest.flushes", labels).Add();
-    metrics.GetHistogram("ingest.flush_ns", labels)
-        .Record(Now() - flush_start);
-  }
+  obs::MetricRegistry& metrics = env_->obs().metrics();
+  obs::Labels labels = ShardLabel(destination);
+  metrics.GetCounter("ingest.flushes", labels).Add();
+  metrics.GetHistogram("ingest.flush_ns", labels).Record(Now() - flush_start);
 }
 
 IngestQueue::Delivery IngestQueue::Deliver(
@@ -137,9 +132,7 @@ IngestQueue::Delivery IngestQueue::Deliver(
   obs::TraceContext rpc_ctx;
   {
     obs::ScopedSpan rpc_span(trace, rpc_span_name, destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
+    rpc_ctx = trace->CurrentContext();
     uint64_t request_bytes = kBatchHeaderBytes + payload.size();
     if (timeline != nullptr) {
       net_->RoundTripAsync(timeline, request_bytes, kAckBytes);
@@ -161,7 +154,7 @@ void IngestQueue::ShipSealed(const SealedBatch& batch) {
   // Bounded in-flight window: past it the sender blocks until the oldest
   // transfer completes — the only place pipelined ingest waits on the wire.
   sim::Nanos waited = timeline_.WaitForSlot(options_.max_in_flight_batches);
-  if (waited > 0 && env_ != nullptr) {
+  if (waited > 0) {
     env_->obs()
         .metrics()
         .GetHistogram("ingest.backpressure_ns")
@@ -179,7 +172,7 @@ void IngestQueue::ShipSealed(const SealedBatch& batch) {
 }
 
 void IngestQueue::FlushPipelined() {
-  if (Crashed()) {
+  if (env_->crashed()) {
     return;
   }
   // Seal the partial batches too: Flush drains everything pending.
@@ -207,7 +200,7 @@ void IngestQueue::FlushPipelined() {
     ++stats_.group_commits;
     stats_.group_frames += frames;
   }
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // journaled but never shipped: recovery redelivers every batch
   }
   for (const SealedBatch& batch : ready_) {
@@ -220,13 +213,13 @@ void IngestQueue::FlushPipelined() {
   std::vector<uint64_t> shipped_ids;
   shipped_ids.reserve(ready_.size());
   for (size_t i = 0; i < ready_.size(); ++i) {
-    if (MaybeCrash()) {
+    if (env_->MaybeCrash()) {
       return;  // durable but unsent (or partially sent): redelivered
     }
     ShipSealed(ready_[i]);
     shipped_ids.push_back(batch_ids[i]);
   }
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // every batch in flight, none acknowledged: redelivered
   }
   // The REPL_APPLIED marks are one more coalesced write. Logically they
@@ -244,11 +237,9 @@ void IngestQueue::FlushPipelined() {
     stats_.group_frames += frames;
   }
   ready_.clear();
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    metrics.GetCounter("ingest.flushes").Add();
-    metrics.GetHistogram("ingest.flush_ns").Record(Now() - flush_start);
-  }
+  obs::MetricRegistry& metrics = env_->obs().metrics();
+  metrics.GetCounter("ingest.flushes").Add();
+  metrics.GetHistogram("ingest.flush_ns").Record(Now() - flush_start);
 }
 
 void IngestQueue::Flush() {
@@ -262,16 +253,14 @@ void IngestQueue::Flush() {
 }
 
 sim::Nanos IngestQueue::Quiesce() {
-  if (Crashed()) {
+  if (env_->crashed()) {
     return 0;
   }
   sim::Nanos charged = timeline_.Drain();
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    metrics.GetCounter("ingest.quiesces").Add();
-    if (charged > 0) {
-      metrics.GetHistogram("ingest.quiesce_wait_ns").Record(charged);
-    }
+  obs::MetricRegistry& metrics = env_->obs().metrics();
+  metrics.GetCounter("ingest.quiesces").Add();
+  if (charged > 0) {
+    metrics.GetHistogram("ingest.quiesce_wait_ns").Record(charged);
   }
   return charged;
 }
@@ -296,7 +285,7 @@ IngestQueue::ShipReport IngestQueue::ShipTo(
     int destination, const std::vector<lasagna::LogEntry>& entries) {
   ShipReport report;
   for (size_t at = 0; at < entries.size(); at += options_.batch_records) {
-    if (MaybeCrash()) {
+    if (env_->MaybeCrash()) {
       break;  // mid-copy crash: recovery re-ships the whole range
     }
     sim::Nanos chunk_start = Now();
@@ -313,12 +302,10 @@ IngestQueue::ShipReport IngestQueue::ShipTo(
     report.entries_shipped += delivery.inserted;
     report.entries_skipped += chunk.size() - delivery.inserted;
     chunk_span.End();
-    if (env_ != nullptr) {
-      env_->obs()
-          .metrics()
-          .GetHistogram("migrate.ship_chunk_ns", ShardLabel(destination))
-          .Record(Now() - chunk_start);
-    }
+    env_->obs()
+        .metrics()
+        .GetHistogram("migrate.ship_chunk_ns", ShardLabel(destination))
+        .Record(Now() - chunk_start);
   }
   stats_.migrate_batches += report.batches;
   stats_.migrate_bytes += report.bytes;

@@ -105,7 +105,7 @@ class IngestQueue {
 
   // `shards[i]` is shard i's local database; `net` models the cluster
   // fabric; `map` (borrowed, live) resolves pnode ownership; `env` supplies
-  // crash points and the clock (may be null: never crashes, never times).
+  // crash points, the clock, and the metric registry and tracer.
   IngestQueue(sim::Env* env, sim::Network* net, const ShardMap* map,
               std::vector<waldo::ProvDb*> shards, Options options)
       : env_(env),
@@ -113,15 +113,11 @@ class IngestQueue {
         map_(map),
         shards_(std::move(shards)),
         options_(options),
-        timeline_(env == nullptr ? nullptr : &env->clock()),
+        timeline_(&env->clock()),
         pending_(shards_.size()),
         pending_since_(shards_.size(), 0) {
     if (options_.batch_records == 0) {
       options_.batch_records = 1;
-    }
-    if (env_ == nullptr) {
-      // No clock to overlap against: degrade to the inline path.
-      options_.pipelined = false;
     }
   }
 
@@ -176,12 +172,6 @@ class IngestQueue {
   const IngestStats& stats() const { return stats_; }
   // The background replication channel (overlap accounting for benches).
   const sim::AsyncTimeline& timeline() const { return timeline_; }
-  // Uniform with Disk/Net/Lasagna/FederatedSource: zero the counters so
-  // benches can measure phases instead of cumulative totals.
-  void ResetStats() {
-    stats_ = IngestStats();
-    timeline_.ResetStats();
-  }
 
  private:
   // One batch sealed for shipment: its entries plus the enqueue timestamp
@@ -198,12 +188,8 @@ class IngestQueue {
     uint64_t inserted = 0;  // rows the destination did not already hold
   };
 
-  bool Crashed() const { return env_ != nullptr && env_->crashed(); }
-  obs::TraceCollector* Trace() const {
-    return env_ == nullptr ? nullptr : &env_->obs().trace();
-  }
-  bool MaybeCrash() { return env_ != nullptr && env_->MaybeCrash(); }
-  sim::Nanos Now() const { return env_ == nullptr ? 0 : env_->clock().now(); }
+  obs::TraceCollector* Trace() const { return &env_->obs().trace(); }
+  sim::Nanos Now() const { return env_->clock().now(); }
   void Enqueue(int destination, const lasagna::LogEntry& entry);
   void Seal(int destination);           // pending -> ready_ (pipelined)
   void FlushPipelined();                // journal-then-ack + background ship

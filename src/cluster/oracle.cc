@@ -26,6 +26,21 @@ Result<std::vector<std::string>> MergedRows(const ClusterCoordinator& cluster,
   return QueryRows(&source, query);
 }
 
+TamperClass ExpectedTamperClass(TamperKind kind) {
+  switch (kind) {
+    case TamperKind::kFlipByte:
+    case TamperKind::kFlipByteFixCrc:
+      return TamperClass::kRowEdit;
+    case TamperKind::kDeleteFrame:
+    case TamperKind::kTruncateAtFrame:
+    case TamperKind::kTruncateMidFrame:
+      return TamperClass::kTruncation;
+    case TamperKind::kSwapFrames:
+      return TamperClass::kReordering;
+  }
+  return TamperClass::kNone;
+}
+
 Status CheckFederatedMatchesMerged(ClusterCoordinator* cluster,
                                    const std::vector<std::string>& queries) {
   FederatedSource federated = cluster->Source(/*portal_shard=*/0);

@@ -9,12 +9,17 @@
 // answer over a fresh FederatedSource with its portal on shard 0. Answers
 // compare as pql::QueryResult::RowKeys(): bags of rows, order-free. Every
 // federated == merged gate in bench/ and tests/ goes through here.
+//
+// It also owns the audit plane's expectation: the TamperClass an Auditor
+// must report for each kind of injected tampering.
 
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/cluster/auditor.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/tamper.h"
 #include "src/pql/graph.h"
 #include "src/util/result.h"
 
@@ -36,6 +41,11 @@ Result<std::vector<std::string>> MergedRows(const ClusterCoordinator& cluster,
 // network time, like any portal query.
 Status CheckFederatedMatchesMerged(ClusterCoordinator* cluster,
                                    const std::vector<std::string>& queries);
+
+// The class an Auditor reports for a tampered file: byte flips are row
+// edits, removed frames or tails are truncations, swapped frames are
+// reorderings.
+TamperClass ExpectedTamperClass(TamperKind kind);
 
 }  // namespace pass::cluster
 

@@ -61,7 +61,6 @@ namespace pass::cluster {
 struct PortalSessionOptions {
   std::string tenant = "default";
   size_t cache_bytes = 1u << 20;  // reserved against tier budget + quota
-  int portal_shard = 0;
 };
 
 class PortalSession {

@@ -8,6 +8,13 @@
 
 namespace pass::cluster {
 
+namespace {
+
+// The tier's portal: its federated reads and frontier pulls originate here.
+constexpr int kPortalShard = 0;
+
+}  // namespace
+
 // Root-restricted view for one incremental evaluation: RootSet answers from
 // the tier's frontier catalog, filtered to the affected roots — no
 // scatter-gather over the shards — while every other operation flows
@@ -66,12 +73,11 @@ class RestrictedRootSource : public pql::GraphSource {
   mutable uint64_t emitted_ = 0;
 };
 
-StandingQueryTier::StandingQueryTier(ClusterCoordinator* cluster,
-                                     int portal_shard, size_t cache_bytes)
+StandingQueryTier::StandingQueryTier(ClusterCoordinator* cluster)
     : cluster_(cluster),
-      portal_shard_(portal_shard),
       source_(cluster->shard_dbs(), &cluster->network(), &cluster->shard_map(),
-              portal_shard, cache_bytes, &cluster->env().obs()),
+              kPortalShard, FederatedSource::kDefaultCacheBytes,
+              &cluster->env().obs()),
       meter_(&source_) {
   // cursor_ starts empty: the first Refresh sees every bucket as dirty and
   // seeds the catalog with the cluster's whole pre-existing population.
@@ -258,7 +264,7 @@ Status StandingQueryTier::EvalAndMerge(StandingQuery* query,
                                        const std::set<core::PnodeId>* roots,
                                        bool seed) {
   obs::ScopedSpan span(&cluster_->env().obs().trace(), "standing.eval",
-                       portal_shard_);
+                       kPortalShard);
   uint64_t rows_before = meter_.rows_touched();
   uint64_t rpcs_before = source_.stats().remote_ops;
 
@@ -314,8 +320,8 @@ Status StandingQueryTier::EvalAndMerge(StandingQuery* query,
 Result<std::vector<StandingNotification>> StandingQueryTier::Refresh() {
   cluster_->Quiesce();
   obs::ScopedSpan span(&cluster_->env().obs().trace(), "standing.refresh",
-                       portal_shard_);
-  FrontierDelta delta = cluster_->FrontierSince(cursor_, portal_shard_);
+                       kPortalShard);
+  FrontierDelta delta = cluster_->FrontierSince(cursor_, kPortalShard);
   stats_.frontier_entries += delta.entries.size();
   stats_.frontier_rpcs += delta.rpcs;
   for (const FrontierEntry& entry : delta.entries) {

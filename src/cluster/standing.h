@@ -142,9 +142,7 @@ struct StandingStats {
 
 class StandingQueryTier {
  public:
-  explicit StandingQueryTier(
-      ClusterCoordinator* cluster, int portal_shard = 0,
-      size_t cache_bytes = FederatedSource::kDefaultCacheBytes);
+  explicit StandingQueryTier(ClusterCoordinator* cluster);
   ~StandingQueryTier();
 
   StandingQueryTier(const StandingQueryTier&) = delete;
@@ -233,7 +231,6 @@ class StandingQueryTier {
       const StandingQuery& query) const;
 
   ClusterCoordinator* cluster_;
-  int portal_shard_;
   FederatedSource source_;   // live-map federated view, owned by the tier
   MeteredSource meter_;      // everything the tier reads goes through this
   FrontierSnapshot cursor_;  // advances only after a whole Refresh commits

@@ -6,18 +6,16 @@
 
 namespace pass::core {
 
+namespace {
+
+// CPU cost of constructing/marshalling one provenance record.
+constexpr sim::Nanos kRecordCpuNs = 400;
+
+}  // namespace
+
 PassSystem::PassSystem(sim::Env* env, os::Kernel* kernel,
-                       PassSystemOptions options)
-    : env_(env),
-      kernel_(kernel),
-      options_(options),
-      analyzer_(options.cycle_algorithm) {
-  if (options.allocator != nullptr) {
-    allocator_ = options.allocator;
-  } else {
-    owned_allocator_ = std::make_unique<PnodeAllocator>(options.shard);
-    allocator_ = owned_allocator_.get();
-  }
+                       PnodeAllocator* allocator)
+    : env_(env), kernel_(kernel), allocator_(allocator) {
   if (kernel_ != nullptr) {
     kernel_->set_interceptor(this);
   }
@@ -29,7 +27,7 @@ void PassSystem::AttachVolume(os::FileSystem* volume) {
 }
 
 void PassSystem::ChargeRecordCpu(size_t records) {
-  env_->ChargeCpu(options_.record_cpu_ns * records);
+  env_->ChargeCpu(kRecordCpuNs * records);
 }
 
 ObjState* PassSystem::FindState(PnodeId pnode) {

@@ -21,7 +21,6 @@
 // default target for pass_mkobj.
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,16 +47,6 @@ struct ObserverStats {
   uint64_t disclosures = 0;  // DPAPI calls from provenance-aware apps
 };
 
-struct PassSystemOptions {
-  uint16_t shard = 0;  // pnode shard (unique per machine)
-  CycleAlgorithm cycle_algorithm = CycleAlgorithm::kCycleAvoidance;
-  // CPU cost of constructing/marshalling one provenance record.
-  sim::Nanos record_cpu_ns = 400;
-  // Shared pnode allocator (volumes on the same machine must allocate from
-  // the same space). Null: the system owns a private allocator.
-  PnodeAllocator* allocator = nullptr;
-};
-
 // Result of a user-level pass_read.
 struct DpapiReadResult {
   std::string data;
@@ -66,8 +55,9 @@ struct DpapiReadResult {
 
 class PassSystem : public os::SyscallInterceptor {
  public:
-  PassSystem(sim::Env* env, os::Kernel* kernel,
-             PassSystemOptions options = PassSystemOptions());
+  // `allocator` is the machine's pnode allocator, shared with its volumes
+  // (everything on one machine allocates from the same space).
+  PassSystem(sim::Env* env, os::Kernel* kernel, PnodeAllocator* allocator);
 
   // Register a provenance-capable volume (Lasagna or a PA-NFS mount).
   // The first becomes the default volume for pass_mkobj.
@@ -161,8 +151,6 @@ class PassSystem : public os::SyscallInterceptor {
 
   sim::Env* env_;
   os::Kernel* kernel_;
-  PassSystemOptions options_;
-  std::unique_ptr<PnodeAllocator> owned_allocator_;
   PnodeAllocator* allocator_;
   Analyzer analyzer_;
   Distributor distributor_;

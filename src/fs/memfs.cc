@@ -158,11 +158,13 @@ sim::DiskZone* MemFs::ZoneFor(const internal::MemInode& inode) {
 }
 
 void MemFs::ChargeJournal() {
+  // Journal append size charged per namespace operation.
+  constexpr uint64_t kJournalEntryBytes = 512;
   if (!options_.charge_disk || disk_ == nullptr) {
     return;
   }
-  uint64_t addr = journal_zone_.Allocate(options_.journal_entry_bytes);
-  disk_->Write(addr, options_.journal_entry_bytes);
+  uint64_t addr = journal_zone_.Allocate(kJournalEntryBytes);
+  disk_->Write(addr, kJournalEntryBytes);
 }
 
 void MemFs::ChargeDataWrite(internal::MemInode& inode, uint64_t offset,

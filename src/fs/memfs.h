@@ -37,8 +37,6 @@ struct MemFsOptions {
   std::string name = "ext3";
   bool charge_disk = true;
   bool enable_trace = false;
-  // Journal append size charged per namespace operation.
-  uint64_t journal_entry_bytes = 512;
   // Files under this top-level prefix allocate from the special zone.
   std::string special_zone_prefix = "/.pass";
 };

@@ -9,6 +9,18 @@ namespace pass::lasagna {
 using internal::LasagnaVnode;
 using internal::PhantomVnode;
 
+namespace {
+
+// In-memory log buffer: appended records accumulate here and reach the disk
+// when (a) a data-carrying transaction commits (WAP: provenance before
+// data), (b) the buffer fills, or (c) rotation/sync. This mirrors the kernel
+// buffering of the paper's implementation.
+constexpr uint64_t kLogBufferBytes = 256u << 10;
+// Stackable-fs double-buffering cost per byte moved.
+constexpr double kStackCopyNsPerByte = 1.2;
+
+}  // namespace
+
 namespace internal {
 
 Result<size_t> LasagnaVnode::Read(uint64_t offset, size_t len,
@@ -138,7 +150,7 @@ LasagnaFs::LasagnaFs(sim::Env* env, fs::MemFs* lower,
 }
 
 void LasagnaFs::ChargeCopy(size_t bytes) {
-  env_->ChargeCpu(static_cast<sim::Nanos>(options_.stack_copy_ns_per_byte *
+  env_->ChargeCpu(static_cast<sim::Nanos>(kStackCopyNsPerByte *
                                           static_cast<double>(bytes)));
 }
 
@@ -288,7 +300,7 @@ Status LasagnaFs::CommitExternalTxn(uint64_t txn_id,
   lasagna_stats_.prov_bytes_logged += frames.size();
   ++lasagna_stats_.txns;
   if (lasagna_vnode != nullptr && !data.empty()) {
-    env_->ChargeCpu(static_cast<sim::Nanos>(options_.md5_ns_per_byte *
+    env_->ChargeCpu(static_cast<sim::Nanos>(kMd5NsPerByte *
                                             static_cast<double>(data.size())));
     PASS_RETURN_IF_ERROR(FlushLogBuffer());
     PASS_ASSIGN_OR_RETURN(size_t n,
@@ -333,7 +345,7 @@ Status LasagnaFs::AppendTxn(const core::Bundle& bundle,
   descriptor.offset = offset;
   descriptor.length = data.size();
   descriptor.data_md5 = Md5::Hash(data);
-  env_->ChargeCpu(static_cast<sim::Nanos>(options_.md5_ns_per_byte *
+  env_->ChargeCpu(static_cast<sim::Nanos>(kMd5NsPerByte *
                                           static_cast<double>(data.size())));
   EncodeLogEntry(&frames,
                  LogEntry{target, core::Record::Of(
@@ -351,7 +363,7 @@ Status LasagnaFs::AppendTxn(const core::Bundle& bundle,
 Status LasagnaFs::AppendToLog(std::string_view frames) {
   log_buffer_.append(frames);
   last_append_ns_ = env_->clock().now();
-  if (log_buffer_.size() >= options_.log_buffer_bytes) {
+  if (log_buffer_.size() >= kLogBufferBytes) {
     PASS_RETURN_IF_ERROR(FlushLogBuffer());
   }
   return Status::Ok();

@@ -31,21 +31,16 @@
 
 namespace pass::lasagna {
 
+// MD5 cost per data byte (ENDTXN checksum). The cluster auditor charges the
+// same rate to re-hash what it verifies.
+inline constexpr double kMd5NsPerByte = 2.0;
+
 struct LasagnaOptions {
   std::string volume_name = "lasagna";
   std::string log_dir = "/.pass";
   uint64_t log_rotate_bytes = 4u << 20;
-  // In-memory log buffer: appended records accumulate here and reach the
-  // disk when (a) a data-carrying transaction commits (WAP: provenance
-  // before data), (b) the buffer fills, or (c) rotation/sync. This mirrors
-  // the kernel buffering of the paper's implementation.
-  uint64_t log_buffer_bytes = 256u << 10;
   // Rotate a dormant log after this much idle time (Waldo inotify, §5.6).
   sim::Nanos log_dormancy_ns = 30 * sim::kSecond;
-  // Stackable-fs double-buffering cost per byte moved.
-  double stack_copy_ns_per_byte = 1.2;
-  // MD5 cost per data byte (ENDTXN checksum).
-  double md5_ns_per_byte = 2.0;
 };
 
 // Writer-side hash chain over one on-disk log (audit plane): maintained as
@@ -193,8 +188,8 @@ class LasagnaFs : public os::FileSystem {
   }
 
   const LasagnaStats& lasagna_stats() const { return lasagna_stats_; }
-  // Uniform with Disk/Net/IngestQueue/FederatedSource: zero the counters so
-  // benches can measure phases instead of cumulative totals.
+  // Zero the counters so benches can measure phases instead of cumulative
+  // totals.
   void ResetStats() { lasagna_stats_ = LasagnaStats(); }
   fs::MemFs* lower() { return lower_; }
   sim::Env* env() { return env_; }

@@ -5,6 +5,14 @@
 
 namespace pass::nfs {
 
+namespace {
+
+// Client block size: bundles larger than this are chunked through
+// OP_BEGINTXN / OP_PASSPROV (64 KB in NFSv4, §6.1.2).
+constexpr uint64_t kWsize = 64 * 1024;
+
+}  // namespace
+
 namespace internal {
 
 std::string NfsClientVnode::ChildPath(std::string_view name) const {
@@ -157,11 +165,8 @@ Result<size_t> NfsPhantomVnode::PassWrite(uint64_t offset,
 }  // namespace internal
 
 NfsClientFs::NfsClientFs(sim::Env* env, sim::Network* network,
-                         NfsServer* server, NfsClientOptions options)
-    : env_(env),
-      network_(network),
-      server_(server),
-      options_(std::move(options)) {}
+                         NfsServer* server)
+    : env_(env), network_(network), server_(server) {}
 
 NfsResponse NfsClientFs::Call(const NfsRequest& request) {
   ++client_stats_.rpcs;
@@ -238,7 +243,7 @@ Result<os::VnodeRef> NfsClientFs::PassReviveobj(core::PnodeId pnode,
 Status NfsClientFs::PassProv(const core::Bundle& bundle) {
   std::string encoded;
   core::EncodeBundle(&encoded, bundle);
-  if (encoded.size() <= options_.wsize) {
+  if (encoded.size() <= kWsize) {
     NfsRequest request;
     request.op = NfsOp::kPassProv;
     request.bundle = std::move(encoded);
@@ -257,7 +262,7 @@ Result<NfsResponse> NfsClientFs::SendPassWrite(const std::string& path,
   std::string encoded;
   core::EncodeBundle(&encoded, bundle);
   ++client_stats_.pass_writes;
-  if (encoded.size() + data.size() <= options_.wsize) {
+  if (encoded.size() + data.size() <= kWsize) {
     NfsRequest request;
     request.op = path.empty() ? NfsOp::kPassProv : NfsOp::kPassWrite;
     request.path = path;
@@ -296,7 +301,7 @@ Result<NfsResponse> NfsClientFs::SendPassWrite(const std::string& path,
   for (const core::BundleEntry& entry : bundle) {
     for (const core::Record& record : entry.records) {
       size_t record_bytes = core::EncodedSize(record) + 16;
-      if (chunk_bytes + record_bytes > options_.wsize) {
+      if (chunk_bytes + record_bytes > kWsize) {
         PASS_RETURN_IF_ERROR(flush_chunk());
       }
       if (chunk.empty() || !(chunk.back().target == entry.target)) {

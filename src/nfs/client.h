@@ -21,13 +21,6 @@
 
 namespace pass::nfs {
 
-struct NfsClientOptions {
-  std::string mount_name = "pa-nfs";
-  // Client block size: bundles larger than this are chunked through
-  // OP_BEGINTXN / OP_PASSPROV (64 KB in NFSv4, §6.1.2).
-  uint64_t wsize = 64 * 1024;
-};
-
 struct NfsClientStats {
   uint64_t rpcs = 0;
   uint64_t pass_writes = 0;
@@ -113,10 +106,9 @@ class NfsPhantomVnode : public os::Vnode {
 
 class NfsClientFs : public os::FileSystem {
  public:
-  NfsClientFs(sim::Env* env, sim::Network* network, NfsServer* server,
-              NfsClientOptions options = NfsClientOptions());
+  NfsClientFs(sim::Env* env, sim::Network* network, NfsServer* server);
 
-  std::string name() const override { return options_.mount_name; }
+  std::string name() const override { return "pa-nfs"; }
   os::VnodeRef root() override;
   Status Rename(const os::VnodeRef& parent_from, std::string_view name_from,
                 const os::VnodeRef& parent_to,
@@ -151,7 +143,6 @@ class NfsClientFs : public os::FileSystem {
   sim::Env* env_;
   sim::Network* network_;
   NfsServer* server_;
-  NfsClientOptions options_;
   NfsClientStats client_stats_;
   std::map<std::string, os::VnodeRef> vnode_cache_;
 };

@@ -7,10 +7,19 @@
 
 namespace pass::os {
 
+namespace {
+
+// Per-syscall CPU cost (trap + dispatch).
+constexpr sim::Nanos kSyscallCpuNs = 1500;
+// Per-byte copy cost between user and kernel space.
+constexpr double kCopyioNsPerByte = 0.3;
+
+}  // namespace
+
 void Kernel::ChargeSyscall(size_t bytes) {
   ++syscall_count_;
-  sim::Nanos cost = params_.syscall_cpu_ns;
-  cost += static_cast<sim::Nanos>(params_.copyio_ns_per_byte *
+  sim::Nanos cost = kSyscallCpuNs;
+  cost += static_cast<sim::Nanos>(kCopyioNsPerByte *
                                   static_cast<double>(bytes));
   env_->ChargeCpu(cost);
 }

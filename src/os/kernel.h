@@ -55,17 +55,9 @@ class SyscallInterceptor {
                            const VnodeRef& vnode) {}
 };
 
-struct KernelParams {
-  // Per-syscall CPU cost (trap + dispatch).
-  sim::Nanos syscall_cpu_ns = 1500;
-  // Per-byte copy cost between user and kernel space.
-  double copyio_ns_per_byte = 0.3;
-};
-
 class Kernel {
  public:
-  explicit Kernel(sim::Env* env, KernelParams params = KernelParams())
-      : env_(env), params_(params) {}
+  explicit Kernel(sim::Env* env) : env_(env) {}
 
   sim::Env* env() { return env_; }
   Vfs& vfs() { return vfs_; }
@@ -127,7 +119,6 @@ class Kernel {
   std::string Normalize(const Process& proc, std::string_view path) const;
 
   sim::Env* env_;
-  KernelParams params_;
   Vfs vfs_;
   SyscallInterceptor* interceptor_ = nullptr;
   Pid next_pid_ = 1;

@@ -73,9 +73,6 @@ struct QueryOptions {
 class Engine {
  public:
   explicit Engine(const GraphSource* source) : source_(source) {}
-  Engine(const GraphSource* source, EvalLimits limits) : source_(source) {
-    options_.limits = limits;
-  }
   Engine(const GraphSource* source, QueryOptions options)
       : source_(source), options_(std::move(options)) {}
 

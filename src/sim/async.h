@@ -75,7 +75,6 @@ class AsyncTimeline {
   void Reset();
 
   const AsyncStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = AsyncStats(); }
 
  private:
   void Expire();  // drop completions the clock has already passed

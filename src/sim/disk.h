@@ -21,22 +21,6 @@
 
 namespace pass::sim {
 
-struct DiskParams {
-  // Fixed cost of any media access (command overhead + rotational average).
-  Nanos access_overhead_ns = 2 * kMilli;
-  // Full-stroke seek cost; actual seek scales with sqrt(distance/capacity),
-  // a standard seek-curve approximation.
-  Nanos full_seek_ns = 8 * kMilli;
-  // Sequential transfer rate, expressed as ns per byte (~60 MB/s disk of the
-  // paper's era: ~16 ns/byte).
-  double transfer_ns_per_byte = 16.0;
-  // Accesses within this distance of the head are treated as sequential
-  // (track buffer / readahead) and pay transfer cost only.
-  uint64_t near_threshold_bytes = 2u << 20;
-  // Device capacity, used to normalize seek distance.
-  uint64_t capacity_bytes = 80ull << 30;
-};
-
 struct DiskStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -48,8 +32,10 @@ struct DiskStats {
 
 class Disk {
  public:
-  Disk(Clock* clock, DiskParams params = DiskParams())
-      : clock_(clock), params_(params) {}
+  // Device capacity: normalizes seek distance and bounds the zone layout.
+  static constexpr uint64_t kCapacityBytes = 80ull << 30;
+
+  explicit Disk(Clock* clock) : clock_(clock) {}
 
   // Charge a read/write of `len` bytes at byte address `addr`.
   void Read(uint64_t addr, uint64_t len) { Access(addr, len, /*write=*/false); }
@@ -59,16 +45,12 @@ class Disk {
   void Sync();
 
   const DiskStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DiskStats(); }
-
-  const DiskParams& params() const { return params_; }
 
  private:
   void Access(uint64_t addr, uint64_t len, bool write);
   Nanos SeekCost(uint64_t from, uint64_t to) const;
 
   Clock* clock_;
-  DiskParams params_;
   DiskStats stats_;
   uint64_t head_pos_ = 0;
 };

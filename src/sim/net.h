@@ -20,11 +20,6 @@ namespace pass::sim {
 
 class AsyncTimeline;
 
-struct NetParams {
-  Nanos rtt_ns = 200 * kMicro;            // LAN round trip
-  double wire_ns_per_byte = 9.0;          // ~1 Gbit/s
-};
-
 struct NetStats {
   uint64_t round_trips = 0;
   uint64_t bytes_sent = 0;
@@ -33,8 +28,7 @@ struct NetStats {
 
 class Network {
  public:
-  Network(Clock* clock, NetParams params = NetParams())
-      : clock_(clock), params_(params) {}
+  explicit Network(Clock* clock) : clock_(clock) {}
 
   // Charge one RPC exchange of `request_bytes` out, `response_bytes` back.
   void RoundTrip(uint64_t request_bytes, uint64_t response_bytes);
@@ -46,11 +40,9 @@ class Network {
                        uint64_t response_bytes);
 
   const NetStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NetStats(); }
 
  private:
   Clock* clock_;
-  NetParams params_;
   NetStats stats_;
 };
 

@@ -18,33 +18,26 @@ Machine::Machine(MachineOptions options)
                      : nullptr),
       env_(options.shared_env != nullptr ? options.shared_env
                                          : owned_env_.get()),
-      disk_(&env_->clock(), options.disk_params),
+      disk_(&env_->clock()),
       allocator_(options.shard) {
-  uint64_t capacity = options.disk_params.capacity_bytes;
   sim::DiskZone journal_zone(0, kJournalZoneBytes);
   sim::DiskZone log_zone(kJournalZoneBytes, kLogZoneBytes);
-  sim::DiskZone data_zone(kJournalZoneBytes + kLogZoneBytes,
-                          capacity - kJournalZoneBytes - kLogZoneBytes);
+  sim::DiskZone data_zone(
+      kJournalZoneBytes + kLogZoneBytes,
+      sim::Disk::kCapacityBytes - kJournalZoneBytes - kLogZoneBytes);
 
-  fs::MemFsOptions fs_options;
-  fs_options.name = "ext3";
-  fs_options.enable_trace = options.enable_fs_trace;
-  fs_options.special_zone_prefix =
-      options.lasagna_options.log_dir;  // log appends live in their own zone
+  // Default MemFsOptions: named "ext3", and its special zone prefix is
+  // Lasagna's default log directory, so log appends live in their own zone.
   basefs_ = std::make_unique<fs::MemFs>(env_, &disk_, data_zone, journal_zone,
-                                        log_zone, fs_options);
+                                        log_zone);
 
   kernel_ = std::make_unique<os::Kernel>(env_);
 
   if (options.root_fs != nullptr) {
     PASS_CHECK(kernel_->Mount("/", options.root_fs).ok());
     if (options.with_pass) {
-      core::PassSystemOptions pass_options;
-      pass_options.shard = options.shard;
-      pass_options.cycle_algorithm = options.cycle_algorithm;
-      pass_options.allocator = &allocator_;
       pass_ = std::make_unique<core::PassSystem>(env_, kernel_.get(),
-                                                 pass_options);
+                                                 &allocator_);
       if (options.root_fs->provenance_capable()) {
         pass_->AttachVolume(options.root_fs);
       }
@@ -57,16 +50,11 @@ Machine::Machine(MachineOptions options)
     return;
   }
 
-  volume_ = std::make_unique<lasagna::LasagnaFs>(
-      env_, basefs_.get(), &allocator_, options.lasagna_options);
+  volume_ = std::make_unique<lasagna::LasagnaFs>(env_, basefs_.get(),
+                                                 &allocator_);
   PASS_CHECK(kernel_->Mount("/", volume_.get()).ok());
 
-  core::PassSystemOptions pass_options;
-  pass_options.shard = options.shard;
-  pass_options.cycle_algorithm = options.cycle_algorithm;
-  pass_options.allocator = &allocator_;
-  pass_ = std::make_unique<core::PassSystem>(env_, kernel_.get(),
-                                             pass_options);
+  pass_ = std::make_unique<core::PassSystem>(env_, kernel_.get(), &allocator_);
   pass_->AttachVolume(volume_.get());
 
   db_ = std::make_unique<waldo::ProvDb>();

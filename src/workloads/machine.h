@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 
-#include "src/core/analyzer.h"
 #include "src/core/libpass.h"
 #include "src/core/system.h"
 #include "src/fs/memfs.h"
@@ -33,15 +32,11 @@ struct MachineOptions {
   // Share a clock/RNG with other machines (PA-NFS client + servers must
   // accumulate costs on one timeline). Null: the machine owns its Env.
   sim::Env* shared_env = nullptr;
-  core::CycleAlgorithm cycle_algorithm = core::CycleAlgorithm::kCycleAvoidance;
   uint16_t shard = 0;
-  bool enable_fs_trace = false;  // mutation trace for crash-replay tests
   // Mount this filesystem at "/" instead of local storage (an NFS-root
   // client machine). When with_pass is also set, the PassSystem attaches it
   // as the volume if it is provenance-capable.
   os::FileSystem* root_fs = nullptr;
-  sim::DiskParams disk_params;
-  lasagna::LasagnaOptions lasagna_options;
 };
 
 class Machine {

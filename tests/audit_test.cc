@@ -13,6 +13,7 @@
 
 #include "src/cluster/auditor.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/oracle.h"
 #include "src/cluster/tamper.h"
 
 namespace pass::cluster {
@@ -42,21 +43,6 @@ void BuildAuditedCluster(ClusterCoordinator* cluster) {
   // file sweep (Sync would consume and remove it).
   ASSERT_TRUE(cluster->WriteWithLineage(0, "/d", "delta", {*c}).ok());
   ASSERT_TRUE(cluster->machine(0).volume()->ForceRotate().ok());
-}
-
-TamperClass ExpectedClass(TamperKind kind) {
-  switch (kind) {
-    case TamperKind::kFlipByte:
-    case TamperKind::kFlipByteFixCrc:
-      return TamperClass::kRowEdit;
-    case TamperKind::kDeleteFrame:
-    case TamperKind::kTruncateAtFrame:
-    case TamperKind::kTruncateMidFrame:
-      return TamperClass::kTruncation;
-    case TamperKind::kSwapFrames:
-      return TamperClass::kReordering;
-  }
-  return TamperClass::kNone;
 }
 
 TEST(AuditTest, CleanClusterSealsAndAuditsClean) {
@@ -138,7 +124,7 @@ TEST(AuditTest, TamperSweepNamesExactSiteAndClass) {
       EXPECT_EQ(finding.file, path) << site.description;
       EXPECT_EQ(finding.shard, shard) << site.description;
       EXPECT_EQ(TamperClassName(finding.klass),
-                std::string(TamperClassName(ExpectedClass(site.kind))))
+                std::string(TamperClassName(ExpectedTamperClass(site.kind))))
           << site.description << " in " << path << ": " << finding.detail;
       EXPECT_EQ(finding.frame, site.frame)
           << site.description << " in " << path << ": " << finding.detail;

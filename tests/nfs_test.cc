@@ -10,6 +10,7 @@
 #include "src/nfs/client.h"
 #include "src/nfs/server.h"
 #include "src/workloads/machine.h"
+#include "src/workloads/workloads.h"
 
 namespace pass::nfs {
 namespace {
@@ -301,6 +302,45 @@ TEST_F(NfsTest, PassProvWithCorruptBundleCountIsRejected) {
   NfsResponse response;
   EXPECT_NO_THROW(response = server_.Handle(request));
   EXPECT_EQ(response.code, Code::kCorrupt) << response.error;
+}
+
+// Pins the simulated cost model: a reduced Postmark's elapsed nanoseconds on
+// ext3, PASSv2 and a root-mounted PA-NFS client (bench/table2_elapsed's
+// configurations). A cost constant that changes by accident fails here; a
+// deliberate model change updates the expected values.
+TEST(CostModelTest, PostmarkElapsedNanosArePinned) {
+  workloads::PostmarkParams params;
+  params.initial_files = 30;
+  params.transactions = 120;
+  params.subdirectories = 4;
+  auto elapsed_ns = [&params](Machine* machine) {
+    sim::Nanos start = machine->env().clock().now();
+    workloads::RunPostmark(machine, params);
+    return machine->env().clock().now() - start;
+  };
+
+  Machine ext3{MachineOptions{}};
+  EXPECT_EQ(elapsed_ns(&ext3), 660225288);
+
+  MachineOptions pass_options;
+  pass_options.with_pass = true;
+  Machine passv2(pass_options);
+  EXPECT_EQ(elapsed_ns(&passv2), 986313015);
+
+  MachineOptions server_options;
+  server_options.with_pass = true;
+  server_options.shard = 1;
+  Machine server(server_options);
+  sim::Network network(&server.env().clock());
+  NfsServer nfs_server(&server.env(), server.volume(), "nfs");
+  NfsClientFs client_fs(&server.env(), &network, &nfs_server);
+  MachineOptions client_options;
+  client_options.with_pass = true;
+  client_options.shard = 2;
+  client_options.shared_env = &server.env();
+  client_options.root_fs = &client_fs;
+  Machine client(client_options);
+  EXPECT_EQ(elapsed_ns(&client), 1283498442);
 }
 
 }  // namespace
