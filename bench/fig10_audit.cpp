@@ -35,7 +35,6 @@
 #include <cstdlib>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/cluster/auditor.h"
 #include "src/cluster/cluster.h"
@@ -50,14 +49,16 @@ using pass::cluster::AuditOptions;
 using pass::cluster::AuditReport;
 using pass::cluster::Auditor;
 using pass::cluster::CheckFederatedMatchesMerged;
+using pass::cluster::CheckRecovered;
+using pass::cluster::CheckTamperVerdict;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::ExpectedTamperClass;
-using pass::cluster::TamperClassName;
+using pass::cluster::CrashAndRecover;
 using pass::cluster::TamperFs;
 using pass::cluster::TamperKind;
 using pass::cluster::TamperKindName;
 using pass::cluster::TamperSite;
+using pass::cluster::TearJournalPastSeal;
 using pass::workloads::WriteLineageChain;
 
 ClusterOptions Options(int shards, uint64_t seed) {
@@ -95,23 +96,6 @@ void BuildWorkload(ClusterCoordinator* cluster, int files,
 std::string TailAncestry(int files) {
   return "select Ancestor from Provenance.file as F F.input* as Ancestor "
          "where F.name = \"/f" + std::to_string(files - 1) + "\"";
-}
-
-// Every sealed on-disk file of the cluster: per-shard journals + live logs.
-std::vector<std::pair<int, std::string>> SealedFiles(
-    ClusterCoordinator* cluster) {
-  std::vector<std::pair<int, std::string>> targets;
-  for (int shard = 0; shard < cluster->shard_count(); ++shard) {
-    pass::fs::MemFs* lower = cluster->machine(shard).volume()->lower();
-    if (lower->ExistsRaw(cluster->journal(shard).path())) {
-      targets.push_back({shard, cluster->journal(shard).path()});
-    }
-    for (const auto& [path, chain] :
-         cluster->machine(shard).volume()->log_chains()) {
-      targets.push_back({shard, path});
-    }
-  }
-  return targets;
 }
 
 struct KindTally {
@@ -187,30 +171,7 @@ int main(int argc, char** argv) {
       BuildWorkload(&cluster, files, /*with_unsynced_log=*/false);
       Auditor auditor(&cluster, seed);
       PASS_CHECK(auditor.Seal().clean());
-      std::vector<uint64_t> sealed_frames(shards);
-      for (int shard = 0; shard < shards; ++shard) {
-        sealed_frames[shard] = cluster.journal(shard).chain_frames();
-      }
-      auto a = cluster.WriteWithLineage(0, "/post-seal-a", "x", {});
-      PASS_CHECK(a.ok());
-      PASS_CHECK(cluster.WriteWithLineage(1, "/post-seal-b", "y", {*a}).ok());
-      PASS_CHECK(cluster.Sync().ok());
-      int grown = -1;
-      for (int shard = 0; shard < shards; ++shard) {
-        if (cluster.journal(shard).chain_frames() > sealed_frames[shard]) {
-          grown = shard;
-          break;
-        }
-      }
-      PASS_CHECK(grown >= 0);
-      pass::fs::MemFs* lower = cluster.machine(grown).volume()->lower();
-      const std::string& path = cluster.journal(grown).path();
-      auto image = lower->ReadFileRaw(path);
-      PASS_CHECK(image.ok());
-      PASS_CHECK(lower
-                     ->WriteFileRaw(path, std::string_view(*image).substr(
-                                              0, image->size() - 3))
-                     .ok());
+      PASS_CHECK(TearJournalPastSeal(&cluster).ok());
       AuditReport report = auditor.AuditAll(
           AuditOptions{.files = true, .db = false, .custody = false});
       PASS_CHECK(report.clean());  // gate: torn tail is benign, not tampering
@@ -231,16 +192,15 @@ int main(int argc, char** argv) {
       PASS_CHECK(auditor.Seal().clean());
       auto extra = cluster.WriteWithLineage(0, "/pre-crash", "z", {});
       PASS_CHECK(extra.ok());
-      cluster.env().CrashAfterOps(2);
-      PASS_CHECK(!cluster.Sync().ok());  // the crash fired
-      PASS_CHECK(cluster.Recover().ok());
+      auto run = CrashAndRecover(&cluster, 2, [&] { return cluster.Sync(); });
+      PASS_CHECK(run.ok() && run->crashed);
       AuditReport report = auditor.AuditAll(
           AuditOptions{.files = false, .db = false, .custody = true});
       PASS_CHECK(report.clean());  // gate: crash + recovery is not tampering
       PASS_CHECK(report.custody_records_verified > 0);
       false_positives += report.findings.size();
       bool match =
-          CheckFederatedMatchesMerged(&cluster, {TailAncestry(files)}).ok();
+          CheckRecovered(&cluster, run->recovery, {TailAncestry(files)}).ok();
       PASS_CHECK(match);
       all_match = all_match && match;
       std::printf("  crash_recover x %d shards: %llu custody records "
@@ -259,39 +219,27 @@ int main(int argc, char** argv) {
   uint64_t sites_injected = 0;
   uint64_t detected = 0;
   uint64_t class_correct = 0;
-  const AuditOptions files_only{.files = true, .db = false, .custody = false};
   for (int shards : {2, 3}) {
     ClusterCoordinator cluster(Options(shards, seed));
     BuildWorkload(&cluster, files);
     Auditor auditor(&cluster, seed);
     PASS_CHECK(auditor.Seal().clean());
     std::map<TamperKind, KindTally> tallies;
-    for (const auto& [shard, path] : SealedFiles(&cluster)) {
+    for (const auto& [shard, path] : auditor.sealed_files()) {
       TamperFs tamper(cluster.machine(shard).volume()->lower());
-      auto snapshot = tamper.Snapshot(path);
-      PASS_CHECK(snapshot.ok());
       for (const TamperSite& site : tamper.EnumerateSites(path)) {
-        PASS_CHECK(tamper.Inject(path, site).ok());
-        AuditReport report = auditor.AuditAll(files_only);
         KindTally& tally = tallies[site.kind];
         ++tally.sites;
         ++sites_injected;
-        // Gate: 100% detection with the exact site and class named.
-        PASS_CHECK(!report.clean());
-        const pass::cluster::AuditFinding& finding = report.findings[0];
-        PASS_CHECK(finding.file == path);
-        PASS_CHECK(finding.shard == shard);
-        PASS_CHECK(finding.klass == ExpectedTamperClass(site.kind));
-        PASS_CHECK(finding.frame == site.frame);
+        // Gate: 100% detection with the exact site and class named, and a
+        // clean audit once the image is restored.
+        PASS_CHECK(
+            CheckTamperVerdict(&auditor, &cluster, shard, path, site).ok());
         ++tally.detected;
         ++detected;
         ++tally.class_correct;
         ++class_correct;
         ++tally.frame_exact;
-        PASS_CHECK(tamper.Restore(path, *snapshot).ok());
-        AuditReport clean = auditor.AuditAll(files_only);
-        PASS_CHECK(clean.clean());  // gate: restore leaves no residue
-        false_positives += clean.findings.size();
       }
     }
     for (const auto& [kind, tally] : tallies) {

@@ -10,7 +10,8 @@
 //   (a) correctness: after every ingest round, every standing result
 //       equals a from-scratch evaluation of the same text over a fresh
 //       federated source — including across a live migration and across a
-//       crash + Recover() sweep;
+//       crash + Recover() sweep, where every recovery also passes the
+//       recovered invariants (both through src/cluster/oracle.h);
 //   (b) cost: steady-state incremental evaluation takes >= 5x fewer RPC
 //       exchanges (evaluation ops + frontier publications) than naively
 //       re-running every registered query from scratch on every ingest
@@ -31,21 +32,24 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
+#include "src/cluster/oracle.h"
 #include "src/cluster/standing.h"
-#include "src/pql/eval.h"
 #include "src/util/logging.h"
 #include "src/workloads/audit_stream.h"
 
 namespace {
 
+using pass::cluster::CheckRecovered;
+using pass::cluster::CheckStandingMatches;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
+using pass::cluster::CountCrashPoints;
+using pass::cluster::CrashAndRecover;
 using pass::cluster::FederatedSource;
 using pass::cluster::MeteredSource;
 using pass::cluster::StandingQueryTier;
@@ -85,31 +89,6 @@ std::vector<std::string> QueryMix(int count) {
     mix.push_back(base[i % base.size()]);
   }
   return mix;
-}
-
-// A standing result holds distinct rows, so answers compare as sets.
-std::set<std::string> Distinct(const std::vector<std::string>& rows) {
-  return {rows.begin(), rows.end()};
-}
-
-// The naive baseline an operator without the tier would run: every
-// registered query, from scratch, after every ingest batch — metered
-// through the same ruler the tier meters itself with. Returns false (and
-// leaves *rows/*ops untouched) only if evaluation fails.
-bool NaiveAnswer(ClusterCoordinator* cluster, const std::string& query,
-                 std::set<std::string>* answer, uint64_t* rows,
-                 uint64_t* ops) {
-  FederatedSource fresh = cluster->Source();
-  MeteredSource meter(&fresh);
-  pass::pql::Engine engine(&meter);
-  auto result = engine.Run(query);
-  if (!result.ok()) {
-    return false;
-  }
-  *answer = Distinct(result->RowKeys());
-  *rows += meter.rows_touched();
-  *ops += meter.ops();
-  return true;
 }
 
 }  // namespace
@@ -153,15 +132,16 @@ int main(int argc, char** argv) {
           PASS_CHECK(tier.Refresh().ok());
           const std::vector<std::string> mix = QueryMix(query_count);
           for (int q = 0; q < query_count; ++q) {
-            std::set<std::string> naive;
-            PASS_CHECK(
-                NaiveAnswer(&cluster, mix[q], &naive, &naive_rows,
-                            &naive_ops));
-            auto standing = tier.ResultOf(ids[q]);
-            PASS_CHECK(standing.ok());
             // Gate (a): incremental == from-scratch, every query, every
-            // round.
-            match = match && Distinct(standing->RowKeys()) == naive;
+            // round. The from-scratch run is the naive baseline an operator
+            // without the tier would run after every ingest batch, metered
+            // through the same ruler the tier meters itself with.
+            FederatedSource fresh = cluster.Source();
+            MeteredSource meter(&fresh);
+            match = match &&
+                    CheckStandingMatches(tier, ids[q], mix[q], &meter).ok();
+            naive_rows += meter.rows_touched();
+            naive_ops += meter.ops();
             PASS_CHECK(match);
           }
         }
@@ -205,6 +185,9 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Phases B and C watch one query: the taint descendants.
+  const std::string watchlist = AuditStreamGenerator::TaintDescendantQuery();
+
   // ---- Phase B: standing results ride through live migration ----------------
   std::printf("\nmigration continuity (3 shards, migrate shard 0's range "
               "away and back mid-stream):\n");
@@ -213,7 +196,7 @@ int main(int argc, char** argv) {
     AuditStreamGenerator stream(&cluster, Stream(2, seed));
     PASS_CHECK(stream.SeedTaintSources().ok());
     StandingQueryTier tier(&cluster);
-    auto id = tier.Register(AuditStreamGenerator::TaintDescendantQuery());
+    auto id = tier.Register(watchlist);
     PASS_CHECK(id.ok());
 
     bool match = true;
@@ -232,15 +215,8 @@ int main(int argc, char** argv) {
         ++migrations;
       }
       PASS_CHECK(tier.Refresh().ok());
-      std::set<std::string> naive;
-      uint64_t rows = 0;
-      uint64_t ops = 0;
-      PASS_CHECK(NaiveAnswer(&cluster,
-                             AuditStreamGenerator::TaintDescendantQuery(),
-                             &naive, &rows, &ops));
-      auto standing = tier.ResultOf(*id);
-      PASS_CHECK(standing.ok());
-      match = match && Distinct(standing->RowKeys()) == naive;
+      FederatedSource fresh = cluster.Source();
+      match = match && CheckStandingMatches(tier, *id, watchlist, &fresh).ok();
       PASS_CHECK(match);
     }
     all_match = all_match && match;
@@ -264,9 +240,10 @@ int main(int argc, char** argv) {
       ClusterCoordinator probe(Options(2, seed));
       AuditStreamGenerator stream(&probe, Stream(2, seed));
       PASS_CHECK(stream.SeedTaintSources().ok());
-      uint64_t before = probe.env().crash_points_passed();
-      PASS_CHECK(stream.StreamRound().ok());
-      crash_points = probe.env().crash_points_passed() - before;
+      auto points =
+          CountCrashPoints(&probe, [&] { return stream.StreamRound(); });
+      PASS_CHECK(points.ok());
+      crash_points = *points;
     }
     PASS_CHECK(crash_points > 0);
     uint64_t stride = std::max<uint64_t>(1, crash_points / 6);
@@ -278,29 +255,23 @@ int main(int argc, char** argv) {
       AuditStreamGenerator stream(&cluster, Stream(2, seed));
       PASS_CHECK(stream.SeedTaintSources().ok());
       StandingQueryTier tier(&cluster);
-      auto id = tier.Register(AuditStreamGenerator::TaintDescendantQuery());
+      auto id = tier.Register(watchlist);
       PASS_CHECK(id.ok());
       PASS_CHECK(stream.StreamRound().ok());
       PASS_CHECK(tier.Refresh().ok());
 
-      cluster.env().CrashAfterOps(at);
-      pass::Status crashed = stream.StreamRound();
-      if (crashed.ok()) {
-        cluster.env().ClearCrash();  // round finished before the point
-      } else {
-        PASS_CHECK(cluster.Recover().ok());
+      // A round that finishes before the point is not recovered.
+      auto run =
+          CrashAndRecover(&cluster, at, [&] { return stream.StreamRound(); });
+      PASS_CHECK(run.ok());
+      if (run->crashed) {
+        PASS_CHECK(
+            CheckRecovered(&cluster, run->recovery, {watchlist}).ok());
         ++crashes;
       }
       PASS_CHECK(tier.Refresh().ok());
-      std::set<std::string> naive;
-      uint64_t rows = 0;
-      uint64_t ops = 0;
-      PASS_CHECK(NaiveAnswer(&cluster,
-                             AuditStreamGenerator::TaintDescendantQuery(),
-                             &naive, &rows, &ops));
-      auto standing = tier.ResultOf(*id);
-      PASS_CHECK(standing.ok());
-      match = match && Distinct(standing->RowKeys()) == naive;
+      FederatedSource fresh = cluster.Source();
+      match = match && CheckStandingMatches(tier, *id, watchlist, &fresh).ok();
       PASS_CHECK(match);
     }
     PASS_CHECK(crashes > 0);

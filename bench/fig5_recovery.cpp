@@ -5,11 +5,12 @@
 // coordinator at every injected crash point of (a) Sync() — mid-journal,
 // mid-send, mid-apply, mid-log-removal — and (b) a pnode-range migration —
 // between every phase of the journaled BEGIN/EPOCH_BUMP/copy/COPIED/delete/
-// COMMIT protocol. After each crash it runs Recover() and asserts that the
-// federated ancestry query still equals the merged single-database answer
-// and that the migrated range's rows live on exactly one shard, while
-// reporting what recovery replayed (batches, entries, migrations) and how
-// much virtual time the repair cost.
+// COMMIT protocol. After each crash it runs Recover() and checks the
+// recovered invariants of src/cluster/oracle.h (epoch consistent, the
+// federated ancestry query equals the merged single-database answer, the
+// migrated range's rows live on one shard, a second Recover() repairs
+// nothing), while reporting what recovery replayed (batches, entries,
+// migrations) and how much virtual time the repair cost.
 //
 // Usage: fig5_recovery [files]   (default 48; CI runs a small scale)
 //
@@ -32,8 +33,12 @@
 namespace {
 
 using pass::cluster::CheckFederatedMatchesMerged;
+using pass::cluster::CheckRecovered;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
+using pass::cluster::CountCrashPoints;
+using pass::cluster::CrashAndRecover;
+using pass::cluster::MovedRange;
 using pass::workloads::WriteLineageChain;
 
 constexpr int kShards = 3;
@@ -72,9 +77,9 @@ int main(int argc, char** argv) {
     ClusterCoordinator clean(Options());
     PASS_CHECK(
         WriteLineageChain(&clean, files, kChainSpread, kPayload).ok());
-    uint64_t before = clean.env().crash_points_passed();
-    PASS_CHECK(clean.Sync().ok());
-    sync_points = clean.env().crash_points_passed() - before;
+    auto points = CountCrashPoints(&clean, [&] { return clean.Sync(); });
+    PASS_CHECK(points.ok());
+    sync_points = *points;
     PASS_CHECK(CheckFederatedMatchesMerged(&clean, {query}).ok());
   }
   std::printf("sync: %llu crash points\n",
@@ -87,28 +92,27 @@ int main(int argc, char** argv) {
     ClusterCoordinator cluster(Options());
     PASS_CHECK(
         WriteLineageChain(&cluster, files, kChainSpread, kPayload).ok());
-    cluster.env().CrashAfterOps(point);
-    PASS_CHECK(!cluster.Sync().ok());  // the crash fired
-    auto recovery = cluster.Recover();
-    PASS_CHECK(recovery.ok());
-    bool match = CheckFederatedMatchesMerged(&cluster, {query}).ok();
+    auto run = CrashAndRecover(&cluster, point, [&] { return cluster.Sync(); });
+    PASS_CHECK(run.ok() && run->crashed);
+    const auto& recovery = run->recovery;
+    bool match = CheckRecovered(&cluster, recovery, {query}).ok();
     all_match = all_match && match;
-    total_batches += recovery->batches_redelivered;
-    total_entries += recovery->entries_reapplied;
+    total_batches += recovery.batches_redelivered;
+    total_entries += recovery.entries_reapplied;
     std::printf("  point %-3llu: %llu batches redelivered, %llu entries "
                 "reapplied, %llu entries resynced, %.6f s repair, %s\n",
                 (unsigned long long)point,
-                (unsigned long long)recovery->batches_redelivered,
-                (unsigned long long)recovery->entries_reapplied,
-                (unsigned long long)recovery->log_entries_resynced,
-                recovery->recovery_seconds, match ? "match" : "MISMATCH");
+                (unsigned long long)recovery.batches_redelivered,
+                (unsigned long long)recovery.entries_reapplied,
+                (unsigned long long)recovery.log_entries_resynced,
+                recovery.recovery_seconds, match ? "match" : "MISMATCH");
     std::printf("csv,sync_crash,%llu,%llu,%llu,%llu,%llu,%.6f,%s\n",
                 (unsigned long long)point,
-                (unsigned long long)recovery->batches_redelivered,
-                (unsigned long long)recovery->entries_reapplied,
-                (unsigned long long)recovery->log_entries_resynced,
-                (unsigned long long)recovery->shard_map_epoch,
-                recovery->recovery_seconds, match ? "yes" : "no");
+                (unsigned long long)recovery.batches_redelivered,
+                (unsigned long long)recovery.entries_reapplied,
+                (unsigned long long)recovery.log_entries_resynced,
+                (unsigned long long)recovery.shard_map_epoch,
+                recovery.recovery_seconds, match ? "yes" : "no");
   }
 
   // ---- Phase B: crash mid-migration -----------------------------------------
@@ -121,9 +125,10 @@ int main(int argc, char** argv) {
     PASS_CHECK(clean.Sync().ok());
     range = pass::core::PnodeRange{pass::core::ShardSpace(0).begin,
                                    clean.machine(0).allocator().peek_next()};
-    uint64_t before = clean.env().crash_points_passed();
-    PASS_CHECK(clean.MigrateRange(range, 2).ok());
-    migration_points = clean.env().crash_points_passed() - before;
+    auto points = CountCrashPoints(
+        &clean, [&] { return clean.MigrateRange(range, 2).status(); });
+    PASS_CHECK(points.ok());
+    migration_points = *points;
     PASS_CHECK(CheckFederatedMatchesMerged(&clean, {query}).ok());
   }
   std::printf("\nmigration of shard 0's range to shard 2: %llu crash "
@@ -137,35 +142,36 @@ int main(int argc, char** argv) {
     PASS_CHECK(
         WriteLineageChain(&cluster, files, kChainSpread, kPayload).ok());
     PASS_CHECK(cluster.Sync().ok());
-    cluster.env().CrashAfterOps(point);
-    PASS_CHECK(!cluster.MigrateRange(range, 2).ok());
-    auto recovery = cluster.Recover();
-    PASS_CHECK(recovery.ok());
+    auto run = CrashAndRecover(&cluster, point, [&] {
+      return cluster.MigrateRange(range, 2).status();
+    });
+    PASS_CHECK(run.ok() && run->crashed);
+    const auto& recovery = run->recovery;
 
     uint64_t rows_src = cluster.shard_db(0).RowsInRange(range.begin,
                                                         range.end);
     uint64_t rows_dst = cluster.shard_db(2).RowsInRange(range.begin,
                                                         range.end);
-    PASS_CHECK(rows_src == 0 || rows_dst == 0);  // never on two shards
-    bool match = CheckFederatedMatchesMerged(&cluster, {query}).ok();
+    const MovedRange moved{range, 0, 2};
+    bool match = CheckRecovered(&cluster, recovery, {query}, &moved).ok();
     all_match = all_match && match;
     const char* outcome =
-        recovery->migrations_rolled_forward > 0
+        recovery.migrations_rolled_forward > 0
             ? "rolled_forward"
-            : (recovery->migrations_aborted > 0 ? "aborted" : "unstarted");
-    rolled_forward += recovery->migrations_rolled_forward;
-    aborted += recovery->migrations_aborted;
+            : (recovery.migrations_aborted > 0 ? "aborted" : "unstarted");
+    rolled_forward += recovery.migrations_rolled_forward;
+    aborted += recovery.migrations_aborted;
     std::printf("  point %-3llu: %-14s epoch=%llu rows src/dst=%llu/%llu "
                 "%.6f s repair, %s\n",
                 (unsigned long long)point, outcome,
-                (unsigned long long)recovery->shard_map_epoch,
+                (unsigned long long)recovery.shard_map_epoch,
                 (unsigned long long)rows_src, (unsigned long long)rows_dst,
-                recovery->recovery_seconds, match ? "match" : "MISMATCH");
+                recovery.recovery_seconds, match ? "match" : "MISMATCH");
     std::printf("csv,migration_crash,%llu,%s,%llu,%llu,%llu,%.6f,%s\n",
                 (unsigned long long)point, outcome,
-                (unsigned long long)recovery->shard_map_epoch,
+                (unsigned long long)recovery.shard_map_epoch,
                 (unsigned long long)rows_src, (unsigned long long)rows_dst,
-                recovery->recovery_seconds, match ? "yes" : "no");
+                recovery.recovery_seconds, match ? "yes" : "no");
   }
 
   std::printf("\ncsv,recovery_summary,%d,%llu,%llu,%llu,%llu,%llu,%llu,%s\n",

@@ -342,6 +342,15 @@ bool Auditor::VerifyPnode(int shard, core::PnodeId pnode,
   return false;
 }
 
+std::vector<std::pair<int, std::string>> Auditor::sealed_files() const {
+  std::vector<std::pair<int, std::string>> files;
+  files.reserve(file_seals_.size());
+  for (const FileSeal& seal : file_seals_) {
+    files.emplace_back(seal.shard, seal.path);
+  }
+  return files;
+}
+
 AuditReport Auditor::AuditAll(const AuditOptions& options) {
   PASS_CHECK(sealed_);
   AuditReport report;

@@ -114,6 +114,9 @@ class Auditor {
   AuditReport ChallengeLineage(const core::ObjectRef& ref);
 
   const EpochDigest& sealed_epoch_digest() const { return sealed_digest_; }
+  // Every file Seal() sealed, as (shard, lower-fs path): each shard's
+  // journal when on disk, then its live Lasagna logs.
+  std::vector<std::pair<int, std::string>> sealed_files() const;
 
  private:
   struct FileSeal {

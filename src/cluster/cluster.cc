@@ -474,8 +474,8 @@ std::pair<size_t, size_t> Extremes(const std::vector<uint64_t>& rows) {
 
 }  // namespace
 
-RebalanceReport ClusterCoordinator::Rebalance(double max_min_ratio,
-                                              int max_migrations) {
+RebalanceReport ClusterCoordinator::Rebalance(double max_min_ratio) {
+  constexpr int kMaxMigrations = 64;
   RebalanceReport report;
   // Policy and reporting share one metric: shard_sizes()'s owned rows.
   auto owned_rows = [&] {
@@ -487,7 +487,7 @@ RebalanceReport ClusterCoordinator::Rebalance(double max_min_ratio,
     return rows;
   };
 
-  while (report.migrations < max_migrations) {
+  while (report.migrations < kMaxMigrations) {
     std::vector<uint64_t> rows = owned_rows();
     auto [max_shard, min_shard] = Extremes(rows);
     double ratio = MaxMinRatio(rows[max_shard], rows[min_shard]);
@@ -599,8 +599,7 @@ FrontierSnapshot ClusterCoordinator::CaptureFrontier() const {
   return snap;
 }
 
-FrontierDelta ClusterCoordinator::FrontierSince(const FrontierSnapshot& snap,
-                                                int subscriber_shard) {
+FrontierDelta ClusterCoordinator::FrontierSince(const FrontierSnapshot& snap) {
   // Publication RPC sizes, matching FederatedSource's nominal wire model:
   // the request names the subscriber's bucket cursors, the response carries
   // one row per frontier entry.
@@ -650,7 +649,7 @@ FrontierDelta ClusterCoordinator::FrontierSince(const FrontierSnapshot& snap,
     }
     delta.dirty_buckets += dirty;
     ++delta.shards_reporting;
-    if (shard != subscriber_shard) {
+    if (shard != FederatedSource::kPortalShard) {
       ++delta.rpcs;
       net_.RoundTrip(kHeaderBytes + kPerBucketRequestBytes * dirty,
                      kHeaderBytes + kPerEntryResponseBytes * rows);

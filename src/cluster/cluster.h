@@ -239,9 +239,8 @@ class ClusterCoordinator {
 
   // Migrate ranges from the fullest to the emptiest shard until the
   // max/min owned-row ratio falls under `max_min_ratio` (or no migration
-  // can improve it, or `max_migrations` is reached).
-  RebalanceReport Rebalance(double max_min_ratio = 1.5,
-                            int max_migrations = 64);
+  // can improve it, or 64 migrations ran).
+  RebalanceReport Rebalance(double max_min_ratio = 1.5);
 
   // Per-shard database sizes (Rebalance's input; bench CSV output).
   std::vector<ShardSize> shard_sizes() const;
@@ -289,9 +288,8 @@ class ClusterCoordinator {
   FrontierSnapshot CaptureFrontier() const;
   // Every pnode in a bucket whose counter moved since `snap`, owner-
   // attributed (see FrontierEntry). Charges one publication round trip per
-  // reporting shard other than `subscriber_shard`.
-  FrontierDelta FrontierSince(const FrontierSnapshot& snap,
-                              int subscriber_shard = 0);
+  // reporting shard other than the portal's (FederatedSource::kPortalShard).
+  FrontierDelta FrontierSince(const FrontierSnapshot& snap);
 
   // Commitment to the cluster's current state (see EpochDigest above).
   // Takes the Quiesce() barrier first so in-flight replication cannot make

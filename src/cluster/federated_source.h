@@ -74,6 +74,9 @@ struct FederatedStats {
 class FederatedSource : public pql::GraphSource {
  public:
   static constexpr size_t kDefaultCacheBytes = 1u << 20;
+  // The portal tier's shard: portal sessions and the standing-query tier
+  // originate their queries and frontier pulls here.
+  static constexpr int kPortalShard = 0;
 
   // `cache_bytes` bounds the portal result cache (0 disables caching).
   // `obs` (borrowed, may be null) records query spans and hop latency

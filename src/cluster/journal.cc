@@ -90,7 +90,6 @@ void ClusterJournal::WriteFrames(std::string_view frames, uint64_t count) {
   PASS_CHECK(written.ok());
   size_ += *written;
   records_appended_ += count;
-  bytes_appended_ += frames.size();
 }
 
 void ClusterJournal::BeginGroup() {
@@ -106,8 +105,6 @@ size_t ClusterJournal::CommitGroup() {
   size_t frames = static_cast<size_t>(group_pending_frames_);
   if (frames > 0) {
     WriteFrames(group_buf_, group_pending_frames_);
-    ++group_commits_;
-    group_frames_ += group_pending_frames_;
     // The coalesced write is durable: the staged chain becomes the head.
     chain_head_ = staged_chain_;
     chain_frames_ = staged_frames_;

@@ -121,8 +121,6 @@ class ClusterJournal {
   size_t CommitGroup();
   void AbortGroup();
   bool InGroup() const { return group_open_; }
-  uint64_t group_commits() const { return group_commits_; }
-  uint64_t group_frames() const { return group_frames_; }
 
   // Journal a replication batch bound for `destination`; returns its id.
   uint64_t AppendReplBatch(int destination,
@@ -161,7 +159,6 @@ class ClusterJournal {
 
   const std::string& path() const { return path_; }
   uint64_t records_appended() const { return records_appended_; }
-  uint64_t bytes_appended() const { return bytes_appended_; }
 
  private:
   void Append(const lasagna::JournalRecord& record);
@@ -173,7 +170,6 @@ class ClusterJournal {
   uint64_t size_ = 0;  // durable image size (append offset)
   uint64_t next_batch_id_ = 1;
   uint64_t records_appended_ = 0;
-  uint64_t bytes_appended_ = 0;
   bool group_open_ = false;
   std::string group_buf_;  // volatile: frames awaiting the coalesced write
   uint64_t group_pending_frames_ = 0;
@@ -181,8 +177,6 @@ class ClusterJournal {
   uint64_t chain_frames_ = 0;
   lasagna::ChainHash staged_chain_{};  // chain including buffered group frames
   uint64_t staged_frames_ = 0;
-  uint64_t group_commits_ = 0;
-  uint64_t group_frames_ = 0;
 };
 
 }  // namespace pass::cluster

@@ -6,13 +6,6 @@
 
 namespace pass::cluster {
 
-namespace {
-
-// Every session's portal (where its queries originate) is shard 0.
-constexpr int kPortalShard = 0;
-
-}  // namespace
-
 // ---- PortalSession ----------------------------------------------------------
 
 PortalSession::PortalSession(ClusterCoordinator* cluster, uint64_t id,
@@ -28,7 +21,7 @@ PortalSession::PortalSession(ClusterCoordinator* cluster, uint64_t id,
     horizons_.push_back(cluster_->journal(s).records_appended());
   }
   source_.emplace(cluster_->shard_dbs(), &cluster_->network(), &pinned_map_,
-                  kPortalShard, options_.cache_bytes,
+                  FederatedSource::kPortalShard, options_.cache_bytes,
                   &cluster_->env().obs());
 }
 
@@ -50,7 +43,7 @@ Result<pql::QueryResult> PortalSession::Run(std::string_view query,
   }
   cluster_->Quiesce();
   obs::ScopedSpan span(&cluster_->env().obs().trace(), "portal.query",
-                       kPortalShard);
+                       FederatedSource::kPortalShard);
   sim::Nanos start = cluster_->env().clock().now();
   pql::Engine engine(&*source_, options);
   Result<pql::QueryResult> result = engine.Run(query, options);

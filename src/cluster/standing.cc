@@ -8,13 +8,6 @@
 
 namespace pass::cluster {
 
-namespace {
-
-// The tier's portal: its federated reads and frontier pulls originate here.
-constexpr int kPortalShard = 0;
-
-}  // namespace
-
 // Root-restricted view for one incremental evaluation: RootSet answers from
 // the tier's frontier catalog, filtered to the affected roots — no
 // scatter-gather over the shards — while every other operation flows
@@ -76,8 +69,8 @@ class RestrictedRootSource : public pql::GraphSource {
 StandingQueryTier::StandingQueryTier(ClusterCoordinator* cluster)
     : cluster_(cluster),
       source_(cluster->shard_dbs(), &cluster->network(), &cluster->shard_map(),
-              kPortalShard, FederatedSource::kDefaultCacheBytes,
-              &cluster->env().obs()),
+              FederatedSource::kPortalShard,
+              FederatedSource::kDefaultCacheBytes, &cluster->env().obs()),
       meter_(&source_) {
   // cursor_ starts empty: the first Refresh sees every bucket as dirty and
   // seeds the catalog with the cluster's whole pre-existing population.
@@ -264,7 +257,7 @@ Status StandingQueryTier::EvalAndMerge(StandingQuery* query,
                                        const std::set<core::PnodeId>* roots,
                                        bool seed) {
   obs::ScopedSpan span(&cluster_->env().obs().trace(), "standing.eval",
-                       kPortalShard);
+                       FederatedSource::kPortalShard);
   uint64_t rows_before = meter_.rows_touched();
   uint64_t rpcs_before = source_.stats().remote_ops;
 
@@ -320,8 +313,8 @@ Status StandingQueryTier::EvalAndMerge(StandingQuery* query,
 Result<std::vector<StandingNotification>> StandingQueryTier::Refresh() {
   cluster_->Quiesce();
   obs::ScopedSpan span(&cluster_->env().obs().trace(), "standing.refresh",
-                       kPortalShard);
-  FrontierDelta delta = cluster_->FrontierSince(cursor_, kPortalShard);
+                       FederatedSource::kPortalShard);
+  FrontierDelta delta = cluster_->FrontierSince(cursor_);
   stats_.frontier_entries += delta.entries.size();
   stats_.frontier_rpcs += delta.rpcs;
   for (const FrontierEntry& entry : delta.entries) {

@@ -139,11 +139,12 @@ Status TamperFs::Inject(const std::string& path, const TamperSite& site) {
   return fs_->WriteFileRaw(path, image);
 }
 
-Result<std::string> TamperFs::Snapshot(const std::string& path) const {
-  return fs_->ReadFileRaw(path);
-}
-
-Status TamperFs::Restore(const std::string& path, const std::string& image) {
+Status TamperFs::TearTail(const std::string& path, size_t bytes) {
+  PASS_ASSIGN_OR_RETURN(std::string image, fs_->ReadFileRaw(path));
+  if (image.size() <= bytes) {
+    return InvalidArgument("torn tail would empty " + path);
+  }
+  image.resize(image.size() - bytes);
   return fs_->WriteFileRaw(path, image);
 }
 

@@ -58,10 +58,9 @@ class TamperFs {
   // Apply one mutation to the durable image.
   Status Inject(const std::string& path, const TamperSite& site);
 
-  // Save/restore a durable image around an injection, so one sealed
-  // cluster can host a whole sweep of independent tamperings.
-  Result<std::string> Snapshot(const std::string& path) const;
-  Status Restore(const std::string& path, const std::string& image);
+  // Cut the last `bytes` bytes off the durable image: the tail a crash
+  // tears off the final write. An error unless the image is longer.
+  Status TearTail(const std::string& path, size_t bytes);
 
  private:
   fs::MemFs* fs_;

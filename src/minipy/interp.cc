@@ -169,6 +169,14 @@ Interp::Interp(os::Kernel* kernel, os::Pid pid, core::LibPass* lib)
   InstallBuiltins();
 }
 
+Interp::~Interp() {
+  for (const std::weak_ptr<Scope>& weak : def_scopes_) {
+    if (std::shared_ptr<Scope> scope = weak.lock()) {
+      scope->names.clear();
+    }
+  }
+}
+
 void Interp::Print(const std::string& line) {
   output_ += line;
   output_ += '\n';
@@ -297,6 +305,10 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
       fn->params = stmt.params;
       fn->body = &stmt.body;
       fn->closure = scope;
+      if (!scope->defines_functions) {
+        scope->defines_functions = true;
+        def_scopes_.push_back(scope);
+      }
       scope->names[stmt.name] = std::move(fn);
       return Flow{};
     }

@@ -148,6 +148,8 @@ ValueRef MakeList(std::vector<ValueRef> items = {});
 struct Scope {
   std::map<std::string, ValueRef> names;
   std::shared_ptr<Scope> parent;
+  // A `def` ran here: `names` holds a function whose closure is this scope.
+  bool defines_functions = false;
 
   ValueRef* Find(const std::string& name);
 };
@@ -165,6 +167,8 @@ class Interp {
  public:
   // `lib` null => provenance-unaware runtime (plain Python).
   Interp(os::Kernel* kernel, os::Pid pid, core::LibPass* lib);
+  // Clears every scope a `def` ran in: scope -> function -> closure cycles.
+  ~Interp();
 
   // Parse + execute; returns captured print output.
   Result<std::string> RunSource(std::string_view source);
@@ -210,6 +214,7 @@ class Interp {
   os::Pid pid_;
   core::LibPass* lib_;
   std::shared_ptr<Scope> globals_;
+  std::vector<std::weak_ptr<Scope>> def_scopes_;  // each listed once
   std::string output_;
   MiniPyStats minipy_stats_;
   std::unique_ptr<Program> program_;  // owns AST for RunSource

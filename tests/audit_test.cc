@@ -93,46 +93,19 @@ TEST(AuditTest, TamperSweepNamesExactSiteAndClass) {
   BuildAuditedCluster(&cluster);
   Auditor auditor(&cluster, /*seed=*/7);
   ASSERT_TRUE(auditor.Seal().clean());
-  // Files only: database + custody audits are exercised separately, and a
-  // file injection must be pinned to its file, not echoed by other planes.
-  AuditOptions files_only{.files = true, .db = false, .custody = false};
-
-  std::vector<std::pair<int, std::string>> targets;
-  for (int shard = 0; shard < cluster.shard_count(); ++shard) {
-    fs::MemFs* lower = cluster.machine(shard).volume()->lower();
-    if (lower->ExistsRaw(cluster.journal(shard).path())) {
-      targets.push_back({shard, cluster.journal(shard).path()});
-    }
-    for (const auto& [path, chain] :
-         cluster.machine(shard).volume()->log_chains()) {
-      targets.push_back({shard, path});
-    }
-  }
+  // The verdict audits files only: database + custody audits are exercised
+  // separately, and a file injection must be pinned to its file, not echoed
+  // by other planes.
+  const auto targets = auditor.sealed_files();
   ASSERT_GT(targets.size(), 2u);  // journals + at least one live log
 
   size_t injections = 0;
   for (const auto& [shard, path] : targets) {
     TamperFs tamper(cluster.machine(shard).volume()->lower());
-    auto snapshot = tamper.Snapshot(path);
-    ASSERT_TRUE(snapshot.ok());
     for (const TamperSite& site : tamper.EnumerateSites(path)) {
-      ASSERT_TRUE(tamper.Inject(path, site).ok()) << site.description;
-      AuditReport report = auditor.AuditAll(files_only);
-      ASSERT_FALSE(report.clean())
-          << "undetected: " << site.description << " in " << path;
-      const AuditFinding& finding = report.findings[0];
-      EXPECT_EQ(finding.file, path) << site.description;
-      EXPECT_EQ(finding.shard, shard) << site.description;
-      EXPECT_EQ(TamperClassName(finding.klass),
-                std::string(TamperClassName(ExpectedTamperClass(site.kind))))
-          << site.description << " in " << path << ": " << finding.detail;
-      EXPECT_EQ(finding.frame, site.frame)
-          << site.description << " in " << path << ": " << finding.detail;
-      ASSERT_TRUE(tamper.Restore(path, *snapshot).ok());
-      AuditReport clean = auditor.AuditAll(files_only);
-      EXPECT_TRUE(clean.clean())
-          << "restore after " << site.description << " left "
-          << clean.findings[0].detail;
+      EXPECT_EQ(
+          CheckTamperVerdict(&auditor, &cluster, shard, path, site).ToString(),
+          "OK");
       ++injections;
     }
   }
@@ -188,30 +161,12 @@ TEST(AuditTest, CustodyAuditSurvivesCheckpointAndCatchesDigestEdit) {
   EXPECT_TRUE(after.clean()) << after.findings[0].detail;
   EXPECT_GT(after.custody_records_verified, 0u);
 
-  // Find the shard whose journal holds the bump and flip the last payload
-  // byte — the tail of the sealed range digest — with the CRC re-fixed.
-  int bump_shard = -1;
-  for (int shard = 0; shard < cluster.shard_count(); ++shard) {
-    auto state = cluster.journal(shard).Scan();
-    ASSERT_TRUE(state.ok());
-    if (!state->epoch_bumps.empty()) {
-      ASSERT_TRUE(state->epoch_bumps[0].has_digests);
-      bump_shard = shard;
-      break;
-    }
-  }
-  ASSERT_GE(bump_shard, 0);
-  const std::string& path = cluster.journal(bump_shard).path();
-  fs::MemFs* lower = cluster.machine(bump_shard).volume()->lower();
-  auto image = lower->ReadFileRaw(path);
-  ASSERT_TRUE(image.ok());
-  lasagna::FrameMap map = lasagna::MapFrames(*image);
-  // Checkpoint writes epoch bumps first: frame 0 is the bump.
-  ASSERT_FALSE(map.frames.empty());
-  TamperFs tamper(lower);
-  TamperSite site{TamperKind::kFlipByteFixCrc, 0,
-                  8 + map.frames[0].length - 1, "flip_custody_digest"};
-  ASSERT_TRUE(tamper.Inject(path, site).ok());
+  // Flip the last payload byte of the bump — the tail of the sealed range
+  // digest — with the CRC re-fixed.
+  int bump_shard = EditCustodyDigest(&cluster).value();
+  auto state = cluster.journal(bump_shard).Scan();
+  ASSERT_TRUE(state.ok());
+  ASSERT_TRUE(state->epoch_bumps[0].has_digests);
 
   AuditReport caught = auditor.AuditAll(custody_only);
   ASSERT_FALSE(caught.clean());

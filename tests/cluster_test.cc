@@ -6,10 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/auditor.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
 #include "src/cluster/ingest.h"
 #include "src/cluster/oracle.h"
+#include "src/cluster/standing.h"
+#include "src/cluster/tamper.h"
 #include "src/lasagna/log_format.h"
 #include "src/pql/eval.h"
 #include "src/workloads/lineage_chain.h"
@@ -384,25 +387,20 @@ TEST(ClusterTest, RebalanceIsANoOpOnABalancedCluster) {
 TEST(ClusterTest, CrashMidSyncRecoversToEquivalentView) {
   // Measure the crash sites of a clean sync on a twin cluster, then crash a
   // fresh identical cluster in the middle of its own sync.
-  uint64_t points = 0;
-  {
-    ClusterCoordinator twin(SmallCluster(4, /*batch=*/4));
-    ASSERT_TRUE(WriteLineageChain(&twin, 12, /*spread=*/4).ok());
-    uint64_t before = twin.env().crash_points_passed();
-    ASSERT_TRUE(twin.Sync().ok());
-    points = twin.env().crash_points_passed() - before;
-  }
+  ClusterCoordinator twin(SmallCluster(4, /*batch=*/4));
+  ASSERT_TRUE(WriteLineageChain(&twin, 12, /*spread=*/4).ok());
+  uint64_t points =
+      CountCrashPoints(&twin, [&] { return twin.Sync(); }).value();
   ASSERT_GT(points, 2u);
 
   ClusterCoordinator cluster(SmallCluster(4, /*batch=*/4));
   ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/4).ok());
-  cluster.env().CrashAfterOps(points / 2);
-  ASSERT_FALSE(cluster.Sync().ok());
-
-  auto recovery = cluster.Recover();
-  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-  EXPECT_GT(recovery->journals_scanned, 0u);
-  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
+  auto run =
+      CrashAndRecover(&cluster, points / 2, [&] { return cluster.Sync(); });
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->crashed);
+  EXPECT_GT(run->recovery.journals_scanned, 0u);
+  EXPECT_EQ(CheckRecovered(&cluster, run->recovery, kQueries).ToString(), "OK")
       << "after mid-sync crash recovery";
 }
 
@@ -410,63 +408,50 @@ TEST(ClusterTest, CrashMidSyncRecoversToEquivalentView) {
 // migration leaves rows on both shards only until recovery, which rolls the
 // journaled migration forward to a consistent ShardMap epoch.
 TEST(ClusterTest, CrashBetweenMigrationCopyAndDeleteRollsForward) {
-  ClusterCoordinator cluster(SmallCluster(2));
-  auto a = cluster.WriteWithLineage(0, "/a", "aaa", {});
-  ASSERT_TRUE(a.ok());
-  auto b = cluster.WriteWithLineage(1, "/b", "bbb", {*a});
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(cluster.Sync().ok());
+  // /a on shard 0 with a descendant /b on shard 1; the sweep migrates /a's
+  // one-pnode range to shard 1. Deterministic, so every cluster allocates
+  // the same pnodes.
+  auto build = [](ClusterCoordinator* cluster) {
+    auto a = cluster->WriteWithLineage(0, "/a", "aaa", {});
+    EXPECT_TRUE(a.ok());
+    EXPECT_TRUE(cluster->WriteWithLineage(1, "/b", "bbb", {*a}).ok());
+    EXPECT_TRUE(cluster->Sync().ok());
+    return core::PnodeRange{a->pnode, a->pnode + 1};
+  };
+  // Lineage through the moved object.
+  const std::vector<std::string> queries = {
+      "select D from Provenance.file as F F.~input* as D "
+      "where F.name = \"/a\"",
+      "select F.name from Provenance.file as F"};
 
   // Find the crash point between MIGRATE_COPIED and the source delete by
   // sweeping until the crash leaves rows on both shards.
-  core::PnodeRange range{a->pnode, a->pnode + 1};
-  uint64_t points = 0;
-  {
-    ClusterCoordinator twin(SmallCluster(2));
-    auto ta = twin.WriteWithLineage(0, "/a", "aaa", {});
-    ASSERT_TRUE(ta.ok());
-    ASSERT_TRUE(twin.WriteWithLineage(1, "/b", "bbb", {*ta}).ok());
-    ASSERT_TRUE(twin.Sync().ok());
-    uint64_t before = twin.env().crash_points_passed();
-    ASSERT_TRUE(twin.MigrateRange({ta->pnode, ta->pnode + 1}, 1).ok());
-    points = twin.env().crash_points_passed() - before;
-  }
+  ClusterCoordinator twin(SmallCluster(2));
+  const core::PnodeRange range = build(&twin);
+  const MovedRange moved{range, 0, 1};
+  uint64_t points =
+      CountCrashPoints(&twin, [&] {
+        return twin.MigrateRange(range, 1).status();
+      }).value();
   bool saw_both_shards_holding_rows = false;
   for (uint64_t point = 0; point < points; ++point) {
     ClusterCoordinator crashed(SmallCluster(2));
-    auto ca = crashed.WriteWithLineage(0, "/a", "aaa", {});
-    ASSERT_TRUE(ca.ok());
-    ASSERT_TRUE(crashed.WriteWithLineage(1, "/b", "bbb", {*ca}).ok());
-    ASSERT_TRUE(crashed.Sync().ok());
-    crashed.env().CrashAfterOps(point);
-    core::PnodeRange crashed_range{ca->pnode, ca->pnode + 1};
-    ASSERT_FALSE(crashed.MigrateRange(crashed_range, 1).ok());
-    // The crash may have left the copy on both shards — the inconsistency
-    // the journal exists to repair.
-    saw_both_shards_holding_rows =
-        saw_both_shards_holding_rows ||
-        (crashed.shard_db(0).RowsInRange(crashed_range.begin,
-                                         crashed_range.end) > 0 &&
-         crashed.shard_db(1).RowsInRange(crashed_range.begin,
-                                         crashed_range.end) > 0);
-
-    auto recovery = crashed.Recover();
-    ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-    // Post-recovery: exactly one shard holds the range's rows, and the
-    // owner is consistent with them.
-    uint64_t on_source = crashed.shard_db(0).RowsInRange(crashed_range.begin,
-                                                         crashed_range.end);
-    uint64_t on_destination = crashed.shard_db(1).RowsInRange(
-        crashed_range.begin, crashed_range.end);
-    EXPECT_TRUE(on_source == 0 || on_destination == 0) << "point " << point;
-    int owner = crashed.shard_map().OwnerOfRange(crashed_range);
-    EXPECT_EQ(owner == 1 ? on_source : on_destination, 0u)
-        << "point " << point;
-    // Federated still equals merged for lineage through the moved object.
-    EXPECT_EQ(CheckFederatedMatchesMerged(
-                  &crashed, {"select D from Provenance.file as F "
-                             "F.~input* as D where F.name = \"/a\"",
-                             "select F.name from Provenance.file as F"})
+    ASSERT_EQ(build(&crashed), range);
+    // Record whether the crash left the copy on both shards — the
+    // inconsistency the journal exists to repair — before recovery runs.
+    auto run = CrashAndRecover(&crashed, point, [&] {
+      Status status = crashed.MigrateRange(range, 1).status();
+      saw_both_shards_holding_rows =
+          saw_both_shards_holding_rows ||
+          (crashed.shard_db(0).RowsInRange(range.begin, range.end) > 0 &&
+           crashed.shard_db(1).RowsInRange(range.begin, range.end) > 0);
+      return status;
+    });
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->crashed) << "point " << point;
+    // Post-recovery: exactly one shard, the owner, holds the range's rows,
+    // and federated still equals merged.
+    EXPECT_EQ(CheckRecovered(&crashed, run->recovery, queries, &moved)
                   .ToString(),
               "OK")
         << "point " << point;
@@ -494,6 +479,13 @@ TEST(ClusterTest, SingleShardClusterNeedsNoNetwork) {
 
 // ---- The cluster oracle itself must be able to fail ------------------------
 
+// `status` is an error whose message names `what`.
+void ExpectFailureNaming(const Status& status, const std::string& what) {
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.ToString();
+}
+
 // A reverse-index row forged onto one shard's ProvDb changes the federated
 // answer but not the merged one (MergeInto replays owned rows only), and
 // the oracle names the first query that differs.
@@ -519,10 +511,8 @@ TEST(ClusterOracleTest, ForgedShardRowFailsAndNamesTheQuery) {
   cluster.shard_db(0).Insert(
       lasagna::LogEntry{*stray, core::Record::Input(*f0)});
 
-  Status status = CheckFederatedMatchesMerged(&cluster, queries);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find(descendants), std::string::npos)
-      << status.ToString();
+  ExpectFailureNaming(CheckFederatedMatchesMerged(&cluster, queries),
+                      descendants);
 }
 
 TEST(ClusterOracleTest, EmptyMergedAnswerFails) {
@@ -534,10 +524,91 @@ TEST(ClusterOracleTest, EmptyMergedAnswerFails) {
   ASSERT_TRUE(MergedRows(cluster, nothing).ok());
   EXPECT_TRUE(MergedRows(cluster, nothing)->empty());
 
-  Status status = CheckFederatedMatchesMerged(&cluster, {nothing});
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find(nothing), std::string::npos)
-      << status.ToString();
+  ExpectFailureNaming(CheckFederatedMatchesMerged(&cluster, {nothing}),
+                      nothing);
+}
+
+// Each recovered invariant fails on its own and names itself: a stale
+// epoch, a row forged onto a migrated range's other shard, and work left
+// for a second Recover().
+TEST(ClusterOracleTest, RecoveredInvariantsFailOneByOne) {
+  ClusterCoordinator cluster(SmallCluster(3));
+  ASSERT_TRUE(WriteLineageChain(&cluster, 6, /*spread=*/2).ok());
+  ASSERT_TRUE(cluster.Sync().ok());
+  ClusterRecoveryReport recovery = cluster.Recover().value();
+  auto f0 = cluster.RefOfPath(0, "/f0");
+  ASSERT_TRUE(f0.ok());
+  const MovedRange moved{{f0->pnode, f0->pnode + 1}, 0, 2};
+  const std::vector<std::string> queries = {
+      "select Ancestor from Provenance.file as F F.input* as Ancestor "
+      "where F.name = \"/f5\""};
+  ASSERT_EQ(CheckRecovered(&cluster, recovery, queries, &moved).ToString(),
+            "OK");
+
+  ClusterRecoveryReport stale = recovery;
+  ++stale.shard_map_epoch;
+  ExpectFailureNaming(CheckRecovered(&cluster, stale, queries), "epoch");
+
+  cluster.shard_db(2).Insert(
+      lasagna::LogEntry{*f0, core::Record::Name("/forged")});
+  ExpectFailureNaming(CheckRecovered(&cluster, recovery, queries, &moved),
+                      "rows on two shards");
+
+  ASSERT_TRUE(cluster.WriteWithLineage(1, "/unsynced", "u", {}).ok());
+  ExpectFailureNaming(CheckRecovered(&cluster, recovery, queries),
+                      "second Recover()");
+}
+
+TEST(ClusterOracleTest, StepFailingWithoutACrashFails) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  auto run = CrashAndRecover(&cluster, 0, [] { return Internal("boom"); });
+  ExpectFailureNaming(run.status(), "failed without crashing");
+  ExpectFailureNaming(run.status(), "boom");
+}
+
+// A standing result still holding a row the shards no longer have.
+TEST(ClusterOracleTest, StandingRowMissingFromScratchFails) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  ASSERT_TRUE(WriteLineageChain(&cluster, 4, /*spread=*/2).ok());
+  ASSERT_TRUE(cluster.Sync().ok());
+  const std::string names = "select F.name from Provenance.file as F";
+  StandingQueryTier tier(&cluster);
+  auto id = tier.Register(names);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ASSERT_EQ(CheckStandingMatches(tier, *id, names, cluster).ToString(), "OK");
+
+  auto f1 = cluster.RefOfPath(1, "/f1");
+  ASSERT_TRUE(f1.ok());
+  ASSERT_GT(cluster.shard_db(1).DeleteRange(f1->pnode, f1->pnode + 1), 0u);
+
+  Status status = CheckStandingMatches(tier, *id, names, cluster);
+  ExpectFailureNaming(status, "/f1");
+  ExpectFailureNaming(status, names);
+}
+
+// Damage already in frame 0 is what the audit reports first, so a verdict
+// expecting a later frame's injection must fail and name both frames.
+TEST(ClusterOracleTest, TamperVerdictAgainstTheWrongFrameFails) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  ASSERT_TRUE(WriteLineageChain(&cluster, 8, /*spread=*/2).ok());
+  ASSERT_TRUE(cluster.Sync().ok());
+  Auditor auditor(&cluster, /*seed=*/5);
+  ASSERT_TRUE(auditor.Seal().clean());
+  const std::string& path = cluster.journal(0).path();
+  TamperFs tamper(cluster.machine(0).volume()->lower());
+  std::vector<TamperSite> sites = tamper.EnumerateSites(path);
+  ASSERT_GT(sites.size(), 1u);
+  const TamperSite& first = sites.front();
+  const TamperSite& later = sites.back();
+  ASSERT_TRUE(first.frame == 0 && later.frame > 0);
+  ASSERT_EQ(CheckTamperVerdict(&auditor, &cluster, 0, path, later).ToString(),
+            "OK");
+
+  ASSERT_TRUE(tamper.Inject(path, first).ok());
+  Status status = CheckTamperVerdict(&auditor, &cluster, 0, path, later);
+  ExpectFailureNaming(status, later.description);
+  ExpectFailureNaming(status, "frame 0 ");
 }
 
 }  // namespace

@@ -156,13 +156,7 @@ TEST_F(ClusterJournalTest, TruncatedJournalTailDetectedAndClassified) {
   journal.AppendMigrateBegin(9, core::ShardSpace(0), 0, 1);
 
   // The crash tears the last frame mid-payload.
-  auto image = lower_.ReadFileRaw(journal.path());
-  ASSERT_TRUE(image.ok());
-  ASSERT_TRUE(lower_
-                  .WriteFileRaw(journal.path(),
-                                std::string_view(*image).substr(
-                                    0, image->size() - 5))
-                  .ok());
+  ASSERT_TRUE(TamperFs(&lower_).TearTail(journal.path(), 5).ok());
 
   auto scan = lasagna::ScanJournal(&lower_, journal.path());
   ASSERT_TRUE(scan.ok());
@@ -229,8 +223,6 @@ TEST_F(ClusterJournalTest, GroupCommitCoalescesAndDefersDurability) {
 
   EXPECT_EQ(journal.CommitGroup(), 3u);
   EXPECT_FALSE(journal.InGroup());
-  EXPECT_EQ(journal.group_commits(), 1u);
-  EXPECT_EQ(journal.group_frames(), 3u);
 
   // The coalesced image parses as the individual records, in order.
   state = journal.Scan();
@@ -248,7 +240,6 @@ TEST_F(ClusterJournalTest, EmptyGroupCommitWritesNothing) {
   ClusterJournal journal(&lower_);
   journal.BeginGroup();
   EXPECT_EQ(journal.CommitGroup(), 0u);
-  EXPECT_EQ(journal.group_commits(), 0u);
   EXPECT_EQ(journal.records_appended(), 0u);
 }
 
@@ -316,13 +307,7 @@ TEST_F(ClusterJournalTest, TornGroupCommitKeepsValidFramePrefix) {
   EXPECT_EQ(journal.CommitGroup(), 3u);
 
   // The crash tears the single coalesced write inside its third frame.
-  auto image = lower_.ReadFileRaw(journal.path());
-  ASSERT_TRUE(image.ok());
-  ASSERT_TRUE(lower_
-                  .WriteFileRaw(journal.path(),
-                                std::string_view(*image).substr(
-                                    0, image->size() - 5))
-                  .ok());
+  ASSERT_TRUE(TamperFs(&lower_).TearTail(journal.path(), 5).ok());
 
   auto state = journal.Scan();
   ASSERT_TRUE(state.ok());
@@ -356,44 +341,25 @@ const std::vector<std::string> kQueries = {
     "select F.name from Provenance.file as F",
 };
 
-// Crash points a clean Sync() passes on this workload. Deterministic: the
-// sweep below replays the identical cluster for each index.
-uint64_t CountSyncCrashPoints(int files) {
-  ClusterCoordinator cluster(CrashClusterOptions());
-  EXPECT_TRUE(WriteLineageChain(&cluster, files, kChainSpread).ok());
-  uint64_t before = cluster.env().crash_points_passed();
-  EXPECT_TRUE(cluster.Sync().ok());
-  return cluster.env().crash_points_passed() - before;
-}
-
-// Acceptance: crash mid-Sync at every injected point; recovery must restore
-// federated == merged and leave a consistent epoch.
+// Acceptance: crash mid-Sync at every injected point; recovery must pass the
+// oracle's recovered invariants.
 TEST(JournalCrashTest, SyncCrashAtEveryPointRecovers) {
   constexpr int kFiles = 8;
-  uint64_t points = CountSyncCrashPoints(kFiles);
+  ClusterCoordinator clean(CrashClusterOptions());
+  ASSERT_TRUE(WriteLineageChain(&clean, kFiles, kChainSpread).ok());
+  uint64_t points =
+      CountCrashPoints(&clean, [&] { return clean.Sync(); }).value();
   ASSERT_GT(points, 4u);  // rotation, journal, send, apply, removal sites
 
   for (uint64_t point = 0; point < points; ++point) {
     ClusterCoordinator cluster(CrashClusterOptions());
     ASSERT_TRUE(WriteLineageChain(&cluster, kFiles, kChainSpread).ok());
-    cluster.env().CrashAfterOps(point);
-    Status crashed = cluster.Sync();
-    EXPECT_FALSE(crashed.ok()) << "point " << point;
-    EXPECT_TRUE(cluster.env().crashed());
-
-    auto recovery = cluster.Recover();
-    ASSERT_TRUE(recovery.ok())
-        << "point " << point << ": " << recovery.status().ToString();
-    EXPECT_FALSE(cluster.env().crashed());
-    EXPECT_EQ(recovery->shard_map_epoch, cluster.shard_map().epoch());
-    EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
-        << "sync crash at point " + std::to_string(point);
-
-    // Recovery converged: a second pass finds nothing left to repair.
-    auto again = cluster.Recover();
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(again->batches_redelivered, 0u) << "point " << point;
-    EXPECT_EQ(again->log_entries_resynced, 0u) << "point " << point;
+    auto run = CrashAndRecover(&cluster, point, [&] { return cluster.Sync(); });
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->crashed) << "point " << point;
+    EXPECT_EQ(CheckRecovered(&cluster, run->recovery, kQueries).ToString(),
+              "OK")
+        << "sync crash at point " << point;
 
     // The repaired cluster keeps working: more writes, another sync.
     auto extra = cluster.WriteWithLineage(0, "/post-crash", "x", {});
@@ -402,28 +368,21 @@ TEST(JournalCrashTest, SyncCrashAtEveryPointRecovers) {
   }
 }
 
-// Crash points a clean MigrateRange passes after the same workload + sync.
-uint64_t CountMigrationCrashPoints(int files, core::PnodeRange* range_out) {
-  ClusterCoordinator cluster(CrashClusterOptions());
-  EXPECT_TRUE(WriteLineageChain(&cluster, files, kChainSpread).ok());
-  EXPECT_TRUE(cluster.Sync().ok());
-  core::PnodeRange range{core::ShardSpace(0).begin,
-                         cluster.machine(0).allocator().peek_next()};
-  *range_out = range;
-  uint64_t before = cluster.env().crash_points_passed();
-  auto report = cluster.MigrateRange(range, 2);
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return cluster.env().crash_points_passed() - before;
-}
-
 // Acceptance: crash between every pair of MigrateRange phases; after
 // recovery the range's rows live on exactly one shard, the ShardMap epoch
 // matches the journaled history, and federated queries equal the merged
 // single-database view.
 TEST(JournalCrashTest, MigrationCrashBetweenEveryPhaseRecovers) {
   constexpr int kFiles = 8;
-  core::PnodeRange range{};
-  uint64_t points = CountMigrationCrashPoints(kFiles, &range);
+  ClusterCoordinator clean(CrashClusterOptions());
+  ASSERT_TRUE(WriteLineageChain(&clean, kFiles, kChainSpread).ok());
+  ASSERT_TRUE(clean.Sync().ok());
+  const core::PnodeRange range{core::ShardSpace(0).begin,
+                               clean.machine(0).allocator().peek_next()};
+  const MovedRange moved{range, 0, 2};
+  uint64_t points = CountCrashPoints(&clean, [&] {
+                      return clean.MigrateRange(range, 2).status();
+                    }).value();
   ASSERT_GT(points, 4u);  // begin/bump/copy/copied/delete/commit sites
 
   for (uint64_t point = 0; point < points; ++point) {
@@ -431,50 +390,34 @@ TEST(JournalCrashTest, MigrationCrashBetweenEveryPhaseRecovers) {
     ASSERT_TRUE(WriteLineageChain(&cluster, kFiles, kChainSpread).ok());
     ASSERT_TRUE(cluster.Sync().ok());
     uint64_t epoch_before = cluster.shard_map().epoch();
-
-    cluster.env().CrashAfterOps(point);
-    auto crashed = cluster.MigrateRange(range, 2);
-    EXPECT_FALSE(crashed.ok()) << "point " << point;
-
-    auto recovery = cluster.Recover();
-    ASSERT_TRUE(recovery.ok())
-        << "point " << point << ": " << recovery.status().ToString();
+    auto run = CrashAndRecover(&cluster, point, [&] {
+      return cluster.MigrateRange(range, 2).status();
+    });
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->crashed) << "point " << point;
+    const ClusterRecoveryReport& recovery = run->recovery;
     std::string context = "migration crash at point " + std::to_string(point);
 
     // The outcome is all-or-nothing: either the migration rolled forward
-    // (epoch bumped, destination owns the range, source rows deleted) or it
-    // aborted (nothing changed). Never rows on both shards.
-    uint64_t rows_on_source =
-        cluster.shard_db(0).RowsInRange(range.begin, range.end);
-    uint64_t rows_on_destination =
-        cluster.shard_db(2).RowsInRange(range.begin, range.end);
+    // (epoch bumped, destination owns the range) or it aborted (nothing
+    // changed). CheckRecovered adds that only the owner holds rows.
+    EXPECT_GT(cluster.shard_db(0).RowsInRange(range.begin, range.end) +
+                  cluster.shard_db(2).RowsInRange(range.begin, range.end),
+              0u)
+        << context;
     int owner = cluster.shard_map().OwnerOfRange(range);
-    EXPECT_TRUE(rows_on_source == 0 || rows_on_destination == 0) << context;
-    EXPECT_GT(rows_on_source + rows_on_destination, 0u) << context;
-    if (recovery->migrations_rolled_forward > 0) {
+    if (recovery.migrations_rolled_forward > 0) {
       EXPECT_EQ(owner, 2) << context;
-      EXPECT_EQ(rows_on_source, 0u) << context;
       EXPECT_EQ(cluster.shard_map().epoch(), epoch_before + 1) << context;
     } else {
       // Aborted before the bump became durable (or before any record did):
       // the migration left no trace in the routed state.
       EXPECT_EQ(owner, 0) << context;
-      EXPECT_EQ(rows_on_destination, 0u) << context;
       EXPECT_EQ(cluster.shard_map().epoch(), epoch_before) << context;
     }
-    EXPECT_EQ(recovery->shard_map_epoch, cluster.shard_map().epoch())
+    EXPECT_EQ(CheckRecovered(&cluster, recovery, kQueries, &moved).ToString(),
+              "OK")
         << context;
-    EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
-        << context;
-
-    // Recovery converged: a second pass finds nothing left to repair (the
-    // checkpoint dropped applied batches and closed aborted migrations).
-    auto again = cluster.Recover();
-    ASSERT_TRUE(again.ok()) << context;
-    EXPECT_EQ(again->batches_redelivered, 0u) << context;
-    EXPECT_EQ(again->migrations_rolled_forward, 0u) << context;
-    EXPECT_EQ(again->migrations_aborted, 0u) << context;
-    EXPECT_EQ(again->shard_map_epoch, recovery->shard_map_epoch) << context;
 
     // An aborted migration can simply be retried; a rolled-forward one is
     // already in place and retrying is a no-op move to the same owner.
@@ -489,30 +432,22 @@ TEST(JournalCrashTest, MigrationCrashBetweenEveryPhaseRecovers) {
 // A crash that tears the journal tail mid-frame composes with recovery: the
 // torn record is classified and dropped, everything durable replays.
 TEST(JournalCrashTest, RecoveryToleratesTornJournalTail) {
+  // Crash mid-sync (REPL_BATCH records durable, not all sent), then tear
+  // every non-trivial journal's tail by a few bytes.
+  ClusterCoordinator twin(CrashClusterOptions());
+  ASSERT_TRUE(WriteLineageChain(&twin, 8, kChainSpread).ok());
+  uint64_t points =
+      CountCrashPoints(&twin, [&] { return twin.Sync(); }).value();
   ClusterCoordinator cluster(CrashClusterOptions());
   ASSERT_TRUE(WriteLineageChain(&cluster, 8, kChainSpread).ok());
-  // Crash just after the first journaled batch (REPL_BATCH durable, never
-  // sent), then tear that journal's tail by a few bytes.
-  uint64_t points = 0;
-  {
-    ClusterCoordinator twin(CrashClusterOptions());
-    ASSERT_TRUE(WriteLineageChain(&twin, 8, kChainSpread).ok());
-    uint64_t before = twin.env().crash_points_passed();
-    EXPECT_TRUE(twin.Sync().ok());
-    points = twin.env().crash_points_passed() - before;
-  }
   cluster.env().CrashAfterOps(points / 2);
   EXPECT_FALSE(cluster.Sync().ok());
 
   for (int shard = 0; shard < kShards; ++shard) {
     const std::string& path = cluster.journal(shard).path();
     fs::MemFs& lower = cluster.machine(shard).basefs();
-    auto image = lower.ReadFileRaw(path);
-    if (image.ok() && image->size() > 4) {
-      ASSERT_TRUE(lower
-                      .WriteFileRaw(path, std::string_view(*image).substr(
-                                              0, image->size() - 3))
-                      .ok());
+    if (lower.ReadFileRaw(path).value_or("").size() > 4) {
+      ASSERT_TRUE(TamperFs(&lower).TearTail(path, 3).ok());
     }
   }
   auto recovery = cluster.Recover();
@@ -546,11 +481,7 @@ TEST_F(ClusterJournalTest, ScanJournalReportsOffsetsAndChainHead) {
   // Tear the tail: valid_bytes pins the boundary, the torn frame is
   // counted, and the chain head shrinks to the surviving prefix.
   size_t first_frame_end = lasagna::MapFrames(*image).frames[1].offset;
-  ASSERT_TRUE(lower_
-                  .WriteFileRaw(journal.path(),
-                                std::string_view(*image).substr(
-                                    0, image->size() - 3))
-                  .ok());
+  ASSERT_TRUE(TamperFs(&lower_).TearTail(journal.path(), 3).ok());
   scan = lasagna::ScanJournal(&lower_, journal.path());
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan->truncated);
@@ -609,36 +540,12 @@ TEST(JournalCrashTest, TornGroupCommitTailBeyondSealIsBenign) {
   // Seal after the sync: only journals are on disk (logs were consumed).
   Auditor auditor(&cluster, /*seed=*/3);
   ASSERT_TRUE(auditor.Seal().clean());
-  std::vector<uint64_t> sealed_frames(kShards);
-  for (int shard = 0; shard < kShards; ++shard) {
-    sealed_frames[shard] = cluster.journal(shard).chain_frames();
-  }
 
-  // More lineage + another sync: the journals grow by group-committed
-  // REPL_BATCH frames beyond the sealed prefix.
-  auto a = cluster.WriteWithLineage(0, "/post-seal-a", "x", {});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(cluster.WriteWithLineage(1, "/post-seal-b", "y", {*a}).ok());
-  ASSERT_TRUE(cluster.Sync().ok());
-
-  int grown = -1;
-  for (int shard = 0; shard < kShards; ++shard) {
-    if (cluster.journal(shard).chain_frames() > sealed_frames[shard]) {
-      grown = shard;
-      break;
-    }
-  }
-  ASSERT_GE(grown, 0);
-
-  // The crash tears the coalesced post-seal write mid-frame.
-  const std::string& path = cluster.journal(grown).path();
-  fs::MemFs* lower = cluster.machine(grown).volume()->lower();
-  auto image = lower->ReadFileRaw(path);
-  ASSERT_TRUE(image.ok());
-  ASSERT_TRUE(lower
-                  ->WriteFileRaw(path, std::string_view(*image).substr(
-                                           0, image->size() - 3))
-                  .ok());
+  // More lineage + another sync grow the journals by group-committed
+  // REPL_BATCH frames beyond the sealed prefix; the crash tears the
+  // coalesced post-seal write mid-frame.
+  auto grown = TearJournalPastSeal(&cluster);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
 
   AuditReport report = auditor.AuditAll(
       AuditOptions{.files = true, .db = false, .custody = false});
@@ -663,42 +570,15 @@ TEST(JournalCrashTest, TamperBeforeCrashSurvivesRecoveryAndIsCaught) {
 
   // The adversary edits the sealed range digest inside the EPOCH_BUMP
   // custody record — CRC re-fixed, so framing stays self-consistent.
-  const std::string& path = cluster.journal(0).path();
-  fs::MemFs* lower = cluster.machine(0).volume()->lower();
-  auto image = lower->ReadFileRaw(path);
-  ASSERT_TRUE(image.ok());
-  auto records = lasagna::ParseJournal(*image);
-  ASSERT_TRUE(records.ok());
-  size_t bump_frame = records->size();
-  for (size_t i = 0; i < records->size(); ++i) {
-    if ((*records)[i].type == JournalRecordType::kEpochBump) {
-      bump_frame = i;
-      break;
-    }
-  }
-  ASSERT_LT(bump_frame, records->size());
-  lasagna::FrameMap map = lasagna::MapFrames(*image);
-  TamperFs tamper(lower);
-  ASSERT_TRUE(tamper
-                  .Inject(path, TamperSite{TamperKind::kFlipByteFixCrc,
-                                           bump_frame,
-                                           8 + map.frames[bump_frame].length -
-                                               1,
-                                           "edit_custody_digest"})
-                  .ok());
+  ASSERT_EQ(EditCustodyDigest(&cluster).value(), 0);
 
   // Then the machine dies mid-sync...
   auto extra = cluster.WriteWithLineage(0, "/pre-crash", "z", {});
   ASSERT_TRUE(extra.ok());
-  cluster.env().CrashAfterOps(2);
-  EXPECT_FALSE(cluster.Sync().ok());
-
   // ...and recovery succeeds: the doctored digest bytes are opaque to the
   // epoch replay, and the checkpoint preserves them verbatim.
-  auto recovery = cluster.Recover();
-  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-  EXPECT_EQ(CheckFederatedMatchesMerged(&cluster, kQueries).ToString(), "OK")
-      << "tamper before crash";
+  auto run = CrashAndRecover(&cluster, 2, [&] { return cluster.Sync(); });
+  ASSERT_TRUE(run.ok() && run->crashed) << run.status().ToString();
 
   // The first post-recovery custody audit pinpoints the rewrite.
   AuditReport report = auditor.AuditAll(
@@ -707,6 +587,8 @@ TEST(JournalCrashTest, TamperBeforeCrashSurvivesRecoveryAndIsCaught) {
   EXPECT_EQ(report.findings[0].klass, TamperClass::kRowEdit);
   EXPECT_EQ(report.findings[0].shard, 0);
   EXPECT_NE(report.findings[0].detail.find("custody"), std::string::npos);
+  EXPECT_EQ(CheckRecovered(&cluster, run->recovery, kQueries).ToString(), "OK")
+      << "tamper before crash";
 }
 
 }  // namespace

@@ -44,18 +44,6 @@ AuditStreamOptions SmallStream() {
 const std::string kDescendants = AuditStreamGenerator::TaintDescendantQuery();
 const std::string kAncestry = AuditStreamGenerator::TaintAncestryQuery();
 
-// A standing result holds distinct rows, so answers compare as sets.
-std::set<std::string> Distinct(const std::vector<std::string>& rows) {
-  return {rows.begin(), rows.end()};
-}
-
-std::set<std::string> StandingAnswer(const StandingQueryTier& tier,
-                                     uint64_t id) {
-  auto result = tier.ResultOf(id);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? Distinct(result->RowKeys()) : std::set<std::string>{};
-}
-
 TEST(StandingQueryTest, IncrementalMatchesFullEvalEachRound) {
   ClusterCoordinator cluster(SmallCluster(2));
   AuditStreamGenerator stream(&cluster, SmallStream());
@@ -76,11 +64,13 @@ TEST(StandingQueryTest, IncrementalMatchesFullEvalEachRound) {
     ASSERT_TRUE(stream.StreamRound().ok());
     auto notes = tier.Refresh();
     ASSERT_TRUE(notes.ok()) << notes.status().ToString();
-    EXPECT_EQ(StandingAnswer(tier, *descend),
-              Distinct(MergedRows(cluster, kDescendants).value()))
+    EXPECT_EQ(
+        CheckStandingMatches(tier, *descend, kDescendants, cluster).ToString(),
+        "OK")
         << "round " << round;
-    EXPECT_EQ(StandingAnswer(tier, *ancestry),
-              Distinct(MergedRows(cluster, kAncestry).value()))
+    EXPECT_EQ(
+        CheckStandingMatches(tier, *ancestry, kAncestry, cluster).ToString(),
+        "OK")
         << "round " << round;
   }
   // Only the registration seeds ran as full evaluations.
@@ -126,7 +116,7 @@ TEST(StandingQueryTest, NotificationsAppearExactlyOnce) {
     }
   }
   // Everything standing was notified, and nothing else.
-  EXPECT_EQ(notified, StandingAnswer(tier, *id));
+  EXPECT_EQ(notified, StandingRows(tier, *id).value());
   EXPECT_EQ(tier.stats().notifications, notified.size());
 }
 
@@ -160,8 +150,7 @@ TEST(StandingQueryTest, NonIncrementalShapesFallBackAndStayCorrect) {
   for (int round = 0; round < 3; ++round) {
     ASSERT_TRUE(stream.StreamRound().ok());
     ASSERT_TRUE(tier.Refresh().ok());
-    EXPECT_EQ(StandingAnswer(tier, *id),
-              Distinct(MergedRows(cluster, join).value()))
+    EXPECT_EQ(CheckStandingMatches(tier, *id, join, cluster).ToString(), "OK")
         << "round " << round;
   }
   EXPECT_GT(tier.stats().full_evals, 0u);
@@ -188,8 +177,8 @@ TEST(StandingQueryTest, AffectedWalkOverflowFallsBackWithoutDivergence) {
   for (int round = 0; round < 3; ++round) {
     ASSERT_TRUE(stream.StreamRound().ok());
     ASSERT_TRUE(tier.Refresh().ok());
-    EXPECT_EQ(StandingAnswer(tier, *id),
-              Distinct(MergedRows(cluster, attrs_only).value()))
+    EXPECT_EQ(CheckStandingMatches(tier, *id, attrs_only, cluster).ToString(),
+              "OK")
         << "round " << round;
   }
   EXPECT_GT(tier.stats().walk_overflows, 0u);
@@ -220,8 +209,9 @@ TEST(StandingQueryTest, EvalLimitErrorsSurfaceAndUnregisterRecovers) {
 
   ASSERT_TRUE(tier.Unregister(*bounded).ok());
   ASSERT_TRUE(tier.Refresh().ok());
-  EXPECT_EQ(StandingAnswer(tier, *healthy),
-            Distinct(MergedRows(cluster, kDescendants).value()));
+  EXPECT_EQ(
+      CheckStandingMatches(tier, *healthy, kDescendants, cluster).ToString(),
+      "OK");
 }
 
 TEST(StandingQueryTest, SurvivesLiveMigrationMidStream) {
@@ -244,14 +234,14 @@ TEST(StandingQueryTest, SurvivesLiveMigrationMidStream) {
                          cluster.machine(0).allocator().peek_next()};
   ASSERT_TRUE(cluster.MigrateRange(range, 2).ok());
   ASSERT_TRUE(tier.Refresh().ok());
-  EXPECT_EQ(StandingAnswer(tier, *id),
-            Distinct(MergedRows(cluster, kDescendants).value()));
+  EXPECT_EQ(CheckStandingMatches(tier, *id, kDescendants, cluster).ToString(),
+            "OK");
 
   for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(stream.StreamRound().ok());
     ASSERT_TRUE(tier.Refresh().ok());
-    EXPECT_EQ(StandingAnswer(tier, *id),
-              Distinct(MergedRows(cluster, kDescendants).value()))
+    EXPECT_EQ(CheckStandingMatches(tier, *id, kDescendants, cluster).ToString(),
+              "OK")
         << "post-migration round " << round;
   }
 
@@ -259,81 +249,75 @@ TEST(StandingQueryTest, SurvivesLiveMigrationMidStream) {
   ASSERT_TRUE(cluster.MigrateRange(range, 0).ok());
   ASSERT_TRUE(stream.StreamRound().ok());
   ASSERT_TRUE(tier.Refresh().ok());
-  EXPECT_EQ(StandingAnswer(tier, *id),
-            Distinct(MergedRows(cluster, kDescendants).value()));
+  EXPECT_EQ(CheckStandingMatches(tier, *id, kDescendants, cluster).ToString(),
+            "OK");
 }
 
-// Crash points a clean (seed + one round + refresh, then another round)
-// sequence passes inside the second round's ingest.
-uint64_t CountRoundCrashPoints() {
-  ClusterCoordinator cluster(SmallCluster(2));
-  AuditStreamGenerator stream(&cluster, SmallStream());
-  EXPECT_TRUE(stream.SeedTaintSources().ok());
-  StandingQueryTier tier(&cluster);
-  auto id = tier.Register(AuditStreamGenerator::TaintDescendantQuery());
-  EXPECT_TRUE(id.ok());
-  EXPECT_TRUE(stream.StreamRound().ok());
-  EXPECT_TRUE(tier.Refresh().ok());
-  uint64_t before = cluster.env().crash_points_passed();
-  EXPECT_TRUE(stream.StreamRound().ok());
-  return cluster.env().crash_points_passed() - before;
-}
+// The crash sweep's state before the crashed round: seeded taint sources,
+// one streamed round, and the descendant watchlist's first refresh.
+struct WatchedStream {
+  WatchedStream() {
+    EXPECT_TRUE(stream.SeedTaintSources().ok());
+    id = tier.Register(kDescendants).value();
+    EXPECT_TRUE(stream.StreamRound().ok());
+    first = tier.Refresh().value();
+  }
+
+  ClusterCoordinator cluster{SmallCluster(2)};
+  AuditStreamGenerator stream{&cluster, SmallStream()};
+  StandingQueryTier tier{&cluster};
+  uint64_t id = 0;
+  std::vector<StandingNotification> first;  // the first refresh's notes
+};
 
 // Acceptance (journal_test style): crash the coordinator mid-ingest at a
-// sweep of injection points; after Recover(), the next Refresh() must leave
-// the standing result equal to a from-scratch evaluation, with no
-// duplicated notifications.
+// sweep of injection points; Recover() must pass the oracle's recovered
+// invariants, and the next Refresh() must leave the standing result equal
+// to a from-scratch evaluation, with no duplicated notifications.
 TEST(StandingQueryTest, CrashDuringIngestRecoversConsistently) {
-  uint64_t points = CountRoundCrashPoints();
+  WatchedStream clean;
+  uint64_t points = CountCrashPoints(&clean.cluster, [&] {
+                      return clean.stream.StreamRound();
+                    }).value();
   ASSERT_GT(points, 2u);
   uint64_t stride = points / 5 == 0 ? 1 : points / 5;
 
   for (uint64_t point = 0; point < points; point += stride) {
-    ClusterCoordinator cluster(SmallCluster(2));
-    AuditStreamGenerator stream(&cluster, SmallStream());
-    ASSERT_TRUE(stream.SeedTaintSources().ok());
-    StandingQueryTier tier(&cluster);
-    auto id = tier.Register(AuditStreamGenerator::TaintDescendantQuery());
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(stream.StreamRound().ok());
+    WatchedStream watched;
+    ClusterCoordinator& cluster = watched.cluster;
+    StandingQueryTier& tier = watched.tier;
+    const uint64_t id = watched.id;
     std::set<std::string> notified;
-    auto first = tier.Refresh();
-    ASSERT_TRUE(first.ok());
-    for (const StandingNotification& note : *first) {
-      std::string line;
-      for (const pql::Value& value : note.row) {
-        line += value.ToString() + "|";
-      }
-      notified.insert(line);
+    for (const StandingNotification& note : watched.first) {
+      notified.insert(pql::RowKey(note.row));
     }
 
-    cluster.env().CrashAfterOps(point);
-    Status crashed = stream.StreamRound();
-    EXPECT_FALSE(crashed.ok()) << "point " << point;
-    auto recovery = cluster.Recover();
-    ASSERT_TRUE(recovery.ok())
-        << "point " << point << ": " << recovery.status().ToString();
+    auto run = CrashAndRecover(&cluster, point,
+                               [&] { return watched.stream.StreamRound(); });
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->crashed) << "point " << point;
+    EXPECT_EQ(CheckRecovered(&cluster, run->recovery, {kDescendants})
+                  .ToString(),
+              "OK")
+        << "point " << point;
 
     auto notes = tier.Refresh();
     ASSERT_TRUE(notes.ok()) << "point " << point;
     for (const StandingNotification& note : *notes) {
-      std::string line;
-      for (const pql::Value& value : note.row) {
-        line += value.ToString() + "|";
-      }
+      std::string line = pql::RowKey(note.row);
       EXPECT_TRUE(notified.insert(line).second)
           << "duplicate notification at point " << point << ": " << line;
     }
-    EXPECT_EQ(StandingAnswer(tier, *id),
-              Distinct(MergedRows(cluster, kDescendants).value()))
+    EXPECT_EQ(CheckStandingMatches(tier, id, kDescendants, cluster).ToString(),
+              "OK")
         << "point " << point;
-    EXPECT_EQ(notified, StandingAnswer(tier, *id)) << "point " << point;
+    EXPECT_EQ(notified, StandingRows(tier, id).value()) << "point " << point;
 
     // The repaired cluster keeps streaming and the tier keeps up.
-    ASSERT_TRUE(stream.StreamRound().ok()) << "point " << point;
+    ASSERT_TRUE(watched.stream.StreamRound().ok()) << "point " << point;
     ASSERT_TRUE(tier.Refresh().ok()) << "point " << point;
-    EXPECT_EQ(StandingAnswer(tier, *id),
-              Distinct(MergedRows(cluster, kDescendants).value()))
+    EXPECT_EQ(CheckStandingMatches(tier, id, kDescendants, cluster).ToString(),
+              "OK")
         << "point " << point;
   }
 }
