@@ -42,7 +42,7 @@ constexpr double kRpcReductionGate = 5.0;
 // rounds, per-entry fingerprint invalidation must cut cache misses at least
 // this factor below the whole-cache-flush baseline (the pre-fingerprint
 // behavior, which drops everything on any mutation and re-fetches the world).
-constexpr double kChurnMissReductionGate = 5.0;
+constexpr double kChurnMissReductionGate = 20.0;
 
 // Adapter hiding an underlying source's frontier batching: every batched
 // call is re-issued one node at a time against the inner source (a frontier
@@ -225,9 +225,9 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
 
   for (int round = 0; round < rounds; ++round) {
     // Steady foreign ingest: new (unique — ingest dedupes replays via
-    // InsertUnique) annotation rows onto /churn. Only /churn's fingerprint
-    // bucket moves; no cached chain pnode shares it, so the fine source's
-    // collateral is the handful of /churn entries, re-fetched once a round.
+    // InsertUnique) annotation rows onto /churn. Only /churn's change stamp
+    // moves, so the fine source's collateral is /churn's own entries,
+    // re-fetched once a round.
     for (int w = 0; w < 4; ++w) {
       PASS_CHECK(churn_lib
                      .WriteRef(*churn_ref,

@@ -592,66 +592,47 @@ FederatedSource ClusterCoordinator::Source(int portal_shard,
 
 FrontierSnapshot ClusterCoordinator::CaptureFrontier() const {
   FrontierSnapshot snap;
-  snap.buckets.reserve(machines_.size());
+  snap.cursors.reserve(machines_.size());
   for (const auto& m : machines_) {
-    snap.buckets.push_back(m->db()->range_mutation_buckets());
+    snap.cursors.push_back(m->db()->mutation_count());
   }
   return snap;
 }
 
 FrontierDelta ClusterCoordinator::FrontierSince(const FrontierSnapshot& snap) {
   // Publication RPC sizes, matching FederatedSource's nominal wire model:
-  // the request names the subscriber's bucket cursors, the response carries
-  // one row per frontier entry.
+  // the request names the subscriber's cursor, the response carries one row
+  // per frontier entry.
   constexpr uint64_t kHeaderBytes = 48;
-  constexpr uint64_t kPerBucketRequestBytes = 8;
+  constexpr uint64_t kCursorRequestBytes = 8;
   constexpr uint64_t kPerEntryResponseBytes = 16;
 
   obs::ScopedSpan span(&env_.obs().trace(), "standing.frontier");
   FrontierDelta delta;
-  std::set<core::PnodeId> seen;
   for (int shard = 0; shard < shard_count(); ++shard) {
     const waldo::ProvDb& db = *machines_[shard]->db();
-    const std::map<uint64_t, uint64_t>* old =
-        static_cast<size_t>(shard) < snap.buckets.size()
-            ? &snap.buckets[shard]
-            : nullptr;
-    uint64_t dirty = 0;
+    uint64_t cursor = static_cast<size_t>(shard) < snap.cursors.size()
+                          ? snap.cursors[shard]
+                          : 0;
+    if (db.mutation_count() == cursor) {
+      continue;  // nothing changed here
+    }
     uint64_t rows = 0;
-    for (const auto& [bucket, counter] : db.range_mutation_buckets()) {
-      uint64_t prev = 0;
-      if (old != nullptr) {
-        auto it = old->find(bucket);
-        prev = it == old->end() ? 0 : it->second;
+    for (core::PnodeId pnode : db.PnodesChangedSince(cursor)) {
+      // Replica rows are reported by the pnode's owner alone: the owner's
+      // own stamp moved too (replication lands the same entry there). A
+      // pnode stamped by a DeleteRange has moved away, so it is skipped too.
+      if (shard_map_.OwnerOf(pnode) != shard) {
+        continue;
       }
-      if (counter == prev) {
-        continue;  // no row keyed in this bucket changed here
-      }
-      ++dirty;
-      core::PnodeId begin = bucket << waldo::ProvDb::kRangeBucketBits;
-      core::PnodeId end = (bucket + 1) << waldo::ProvDb::kRangeBucketBits;
-      for (core::PnodeId pnode : db.PnodesInRange(begin, end)) {
-        // Replica rows are reported by the pnode's owner: the owner's own
-        // bucket moved too (replication lands the same entry there).
-        if (shard_map_.OwnerOf(pnode) != shard) {
-          continue;
-        }
-        if (!seen.insert(pnode).second) {
-          continue;
-        }
-        delta.entries.push_back(FrontierEntry{pnode, db.LatestVersionOf(pnode),
-                                              shard, db.TypeOf(pnode)});
-        ++rows;
-      }
+      delta.entries.push_back(FrontierEntry{pnode, db.LatestVersionOf(pnode),
+                                            shard, db.TypeOf(pnode)});
+      ++rows;
     }
-    if (dirty == 0) {
-      continue;
-    }
-    delta.dirty_buckets += dirty;
     ++delta.shards_reporting;
     if (shard != FederatedSource::kPortalShard) {
       ++delta.rpcs;
-      net_.RoundTrip(kHeaderBytes + kPerBucketRequestBytes * dirty,
+      net_.RoundTrip(kHeaderBytes + kCursorRequestBytes,
                      kHeaderBytes + kPerEntryResponseBytes * rows);
     }
   }

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -126,12 +125,12 @@ struct EpochDigest {
 
 // ---- Frontier publication (standing-query plane) ----------------------------
 // The per-shard "new pnode" feed the standing-query tier subscribes to,
-// piggybacked on ProvDb's per-range mutation buckets: a FrontierSnapshot
-// remembers every shard's bucket counters, and FrontierSince diffs the live
-// counters against it. A bucket whose counter moved holds at least one
-// pnode whose rows changed, so the delta is every pnode of every dirty
-// bucket — attributed to its current ShardMap owner (replica copies are
-// reported by the owner only) and stamped with its latest version and TYPE.
+// piggybacked on ProvDb's per-pnode change stamps: a FrontierSnapshot
+// remembers every shard's mutation_count(), and FrontierSince asks each
+// shard for the pnodes stamped after it (ProvDb::PnodesChangedSince). The
+// delta is exactly the pnodes whose rows changed — attributed to their
+// current ShardMap owner (replica copies are reported by the owner only)
+// and stamped with their latest version and TYPE.
 
 struct FrontierEntry {
   core::PnodeId pnode = 0;
@@ -141,14 +140,13 @@ struct FrontierEntry {
 };
 
 struct FrontierSnapshot {
-  // Per shard: bucket id -> mutation counter at capture time.
-  std::vector<std::map<uint64_t, uint64_t>> buckets;
+  // Per shard: mutation_count() at capture time.
+  std::vector<uint64_t> cursors;
 };
 
 struct FrontierDelta {
   std::vector<FrontierEntry> entries;
-  uint64_t dirty_buckets = 0;
-  uint64_t shards_reporting = 0;  // shards with >= 1 dirty bucket
+  uint64_t shards_reporting = 0;  // shards with >= 1 mutation since the cursor
   uint64_t rpcs = 0;              // publication exchanges network-charged
 };
 
@@ -247,8 +245,8 @@ class ClusterCoordinator {
 
   // Federated query source with the portal on `portal_shard`, wired to the
   // live ShardMap: sources created before a migration route correctly after
-  // (and its portal result cache self-invalidates, entry by entry, when a
-  // range's fingerprint moves or its owner changes). `cache_bytes` bounds
+  // (and its portal result cache self-invalidates, entry by entry, when an
+  // entry's pnode is written or its range changes owner). `cache_bytes` bounds
   // that cache; 0 disables it. Takes the Quiesce() barrier first, so the
   // portal never reads replica state whose transfer time has not elapsed.
   FederatedSource Source(
@@ -281,13 +279,13 @@ class ClusterCoordinator {
   size_t deferred_retirements() const { return deferred_.size(); }
 
   // ---- Frontier publication (standing-query tier) --------------------------
-  // Snapshot every shard's mutation-bucket counters (the subscription
-  // cursor a standing tier holds; advance it only after the delta's
-  // consumers committed, so a crash mid-consumption re-reads the same
-  // delta — the downstream merge is idempotent).
+  // Snapshot every shard's mutation_count() (the subscription cursor a
+  // standing tier holds; advance it only after the delta's consumers
+  // committed, so a crash mid-consumption re-reads the same delta — the
+  // downstream merge is idempotent).
   FrontierSnapshot CaptureFrontier() const;
-  // Every pnode in a bucket whose counter moved since `snap`, owner-
-  // attributed (see FrontierEntry). Charges one publication round trip per
+  // Every pnode whose change stamp moved past `snap`, owner-attributed
+  // (see FrontierEntry). Charges one publication round trip per
   // reporting shard other than the portal's (FederatedSource::kPortalShard).
   FrontierDelta FrontierSince(const FrontierSnapshot& snap);
 

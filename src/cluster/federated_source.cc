@@ -153,11 +153,11 @@ const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
     return nullptr;
   }
   if (!whole_cache_) {
-    // Revalidate exactly this entry: the filling shard's fingerprint for
-    // the entry's own pnode bucket. (ValidateCache already dropped entries
+    // Revalidate exactly this entry: the filling shard's change stamp for
+    // the entry's own pnode. (ValidateCache already dropped entries
     // whose range changed owner, so the filling shard is still the owner.)
     const CacheEntry& entry = it->second;
-    if (shards_[entry.shard]->range_mutation_count(key.pnode) !=
+    if (shards_[entry.shard]->changed_at(key.pnode) !=
         entry.fingerprint) {
       EraseEntry(it);
       ++stats_.cache_entries_invalidated;
@@ -172,7 +172,7 @@ const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
 void FederatedSource::CacheInsert(CacheKey key, CacheEntry entry,
                                   int shard) const {
   entry.shard = shard;
-  entry.fingerprint = shards_[shard]->range_mutation_count(key.pnode);
+  entry.fingerprint = shards_[shard]->changed_at(key.pnode);
   entry.bytes = kPerNodeRequestBytes + sizeof(key.attr_id) +
                 kPerRowResponseBytes * entry.nodes.size() +
                 ValueSetBytes(entry.values);

@@ -21,12 +21,12 @@
 //   * A portal result cache: a byte-bounded LRU over per-node edge lists
 //     and attribute sets, so overlapping traversals fetch each node once.
 //     Invalidation is per-entry: each entry remembers the shard it was
-//     filled from and that shard's per-range mutation fingerprint
-//     (ProvDb::range_mutation_count over power-of-two pnode buckets), and a
-//     lookup revalidates only that fingerprint — ingest into shard 3 does
-//     not evict entries homed on shard 0. ShardMap epoch bumps consult the
-//     map's epoch-change history and drop only entries whose range actually
-//     changed owner. Stale ownership or data is never served, but unrelated
+//     filled from and that shard's change stamp for the entry's pnode
+//     (ProvDb::changed_at), and a lookup revalidates only that stamp —
+//     ingest into pnode p does not evict the entries of pnode p + 1, nor
+//     ingest into shard 3 those homed on shard 0. ShardMap epoch bumps
+//     consult the map's epoch-change history and drop only entries whose
+//     range actually changed owner. Stale ownership or data is never served, but unrelated
 //     churn no longer flushes the cache (set_whole_cache_invalidation(true)
 //     restores the old drop-everything behavior as a bench baseline).
 //
@@ -65,8 +65,8 @@ struct FederatedStats {
   uint64_t cache_evictions = 0;
   // Invalidation accounting, split by blast radius: full clears (the map
   // was rebuilt, or every clear in whole-cache compatibility mode) vs
-  // individual entries dropped because their own range's fingerprint moved
-  // or their range changed owner.
+  // individual entries dropped because their own pnode's stamp moved or
+  // their range changed owner.
   uint64_t cache_invalidations_full = 0;
   uint64_t cache_entries_invalidated = 0;
 };
@@ -144,9 +144,9 @@ class FederatedSource : public pql::GraphSource {
     pql::ValueSet values;
     uint64_t bytes = 0;
     // Provenance of the entry itself: the shard it was fetched from and
-    // that shard's range fingerprint at fill time. A lookup revalidates by
-    // re-reading the fingerprint — cheap, allocation-free, and local to the
-    // entry's own pnode bucket.
+    // that shard's changed_at() stamp for the entry's pnode at fill time. A
+    // lookup revalidates by re-reading the stamp — cheap, allocation-free,
+    // and local to the entry's own pnode.
     int shard = 0;
     uint64_t fingerprint = 0;
     std::list<CacheKey>::iterator lru;

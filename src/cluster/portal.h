@@ -20,7 +20,7 @@
 //     the old pin, and lets deferred retirements run. Pinning freezes
 //     routing, not time: for ranges whose owner is unchanged since the
 //     pin, new data still reaches the session (its cache revalidates
-//     per-range fingerprints against the live shard databases like any
+//     per-pnode change stamps against the live shard databases like any
 //     portal). Ingest into a range migrated *after* the pin, however,
 //     lands on the new owner while the session keeps reading the deferred
 //     source copy — so session == merged database holds only absent ingest

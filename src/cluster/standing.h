@@ -6,7 +6,7 @@
 //
 // A registered query is re-evaluated *incrementally*: each Refresh() pulls
 // the per-shard frontier of newly ingested pnodes (ClusterCoordinator::
-// FrontierSince, piggybacked on ProvDb's per-range mutation buckets),
+// FrontierSince, piggybacked on ProvDb's per-pnode change stamps),
 // computes the set of root bindings whose results could have changed — the
 // frontier pnodes plus their closure backwards along the link directions
 // the query actually uses — and re-runs the query over just those roots,

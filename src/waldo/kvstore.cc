@@ -136,12 +136,7 @@ Result<KvStore> KvStore::Deserialize(std::string_view image) {
   while (!in.done()) {
     PASS_ASSIGN_OR_RETURN(uint32_t len, in.U32());
     PASS_ASSIGN_OR_RETURN(uint32_t crc, in.U32());
-    if (in.remaining() < len) {
-      return Corrupt("kvstore: truncated frame");
-    }
-    // Reconstruct the payload view for CRC verification.
-    std::string_view payload =
-        image.substr(in.position(), len);
+    PASS_ASSIGN_OR_RETURN(std::string_view payload, in.Raw(len));
     if (Crc32(payload) != crc) {
       return Corrupt("kvstore: CRC mismatch");
     }
@@ -149,15 +144,13 @@ Result<KvStore> KvStore::Deserialize(std::string_view image) {
     PASS_ASSIGN_OR_RETURN(uint8_t tombstone, body.U8());
     PASS_ASSIGN_OR_RETURN(std::string key, body.Bytes());
     PASS_ASSIGN_OR_RETURN(std::string value, body.Bytes());
+    if (!body.done()) {
+      return Corrupt("kvstore: trailing bytes in frame");
+    }
     if (tombstone != 0) {
       store.Delete(key);
     } else {
       store.Put(key, value);
-    }
-    // Skip over the payload in the outer decoder.
-    for (uint32_t i = 0; i < len; ++i) {
-      PASS_ASSIGN_OR_RETURN(uint8_t unused, in.U8());
-      (void)unused;
     }
   }
   store.auto_compact_ = true;

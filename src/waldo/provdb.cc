@@ -35,8 +35,8 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
       return;
     }
     // Forward row keys by the subject, reverse row by the ancestor.
-    ++range_mutations_[RangeBucketOf(subject.pnode)];
-    ++range_mutations_[RangeBucketOf(ancestor->pnode)];
+    changed_at_[subject.pnode] = mutation_count_;
+    changed_at_[ancestor->pnode] = mutation_count_;
     inputs_[subject].push_back(*ancestor);
     input_set_[subject].insert(*ancestor);
     outputs_[*ancestor].push_back(subject);
@@ -49,7 +49,7 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
   }
 
   // Attribute record.
-  ++range_mutations_[RangeBucketOf(subject.pnode)];
+  changed_at_[subject.pnode] = mutation_count_;
   std::string encoded;
   core::EncodeRecord(&encoded, record);
   records_.Put(RefKey('r', subject), encoded);
@@ -173,12 +173,12 @@ std::vector<core::PnodeId> ProvDb::AllPnodes() const {
   return out;
 }
 
-std::vector<core::PnodeId> ProvDb::PnodesInRange(core::PnodeId begin,
-                                                 core::PnodeId end) const {
+std::vector<core::PnodeId> ProvDb::PnodesChangedSince(uint64_t cursor) const {
   std::vector<core::PnodeId> out;
-  for (auto it = versions_.lower_bound(begin);
-       it != versions_.end() && it->first < end; ++it) {
-    out.push_back(it->first);
+  for (const auto& [pnode, stamp] : changed_at_) {
+    if (stamp > cursor) {
+      out.push_back(pnode);
+    }
   }
   return out;
 }
@@ -229,14 +229,14 @@ bool ProvDb::InsertUnique(const lasagna::LogEntry& entry) {
     versions_[subject.pnode].insert(subject.version);
     versions_[ancestor->pnode].insert(ancestor->version);
     if (!have_forward) {
-      ++range_mutations_[RangeBucketOf(subject.pnode)];
+      changed_at_[subject.pnode] = mutation_count_;
       inputs_[subject].push_back(*ancestor);
       input_set_[subject].insert(*ancestor);
       indexes_.Put(RefKey('i', subject), EncodeRef(*ancestor));
       ++edge_count_;  // edge_count_ counts forward rows
     }
     if (!have_reverse) {
-      ++range_mutations_[RangeBucketOf(ancestor->pnode)];
+      changed_at_[ancestor->pnode] = mutation_count_;
       outputs_[*ancestor].push_back(subject);
       output_set_[*ancestor].insert(subject);
       indexes_.Put(RefKey('o', *ancestor), EncodeRef(subject));
@@ -322,9 +322,11 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   // need rewriting below.
   std::set<std::string> touched_names;
   std::set<std::string> touched_types;
-  // Buckets whose keyed rows this delete removes; bumped once each below so
-  // per-range fingerprints move only where rows actually vanished.
-  std::set<uint64_t> touched_buckets;
+  // Every pnode whose keyed rows this delete removes is stamped with the
+  // mutation count the delete commits below (removed > 0 whenever a stamp
+  // lands: the row vectors are never empty), so stamps move only where rows
+  // actually vanished.
+  const uint64_t stamp = mutation_count_ + 1;
   for (auto it = attrs_.lower_bound(lo);
        it != attrs_.end() && it->first.pnode < end;) {
     for (const core::Record& record : it->second) {
@@ -339,7 +341,7 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
     records_.Delete(RefKey('r', it->first));
     removed += it->second.size();
     record_count_ -= it->second.size();
-    touched_buckets.insert(RangeBucketOf(it->first.pnode));
+    changed_at_[it->first.pnode] = stamp;
     it = attrs_.erase(it);
   }
   // edge_count_ tracks forward rows only; the paired reverse row of a fully
@@ -349,14 +351,14 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
     indexes_.Delete(RefKey('i', it->first));
     removed += it->second.size();
     edge_count_ -= it->second.size();
-    touched_buckets.insert(RangeBucketOf(it->first.pnode));
+    changed_at_[it->first.pnode] = stamp;
     it = inputs_.erase(it);
   }
   for (auto it = outputs_.lower_bound(lo);
        it != outputs_.end() && it->first.pnode < end;) {
     indexes_.Delete(RefKey('o', it->first));
     removed += it->second.size();
-    touched_buckets.insert(RangeBucketOf(it->first.pnode));
+    changed_at_[it->first.pnode] = stamp;
     it = outputs_.erase(it);
   }
   versions_.erase(versions_.lower_bound(begin), versions_.upper_bound(end - 1));
@@ -387,9 +389,6 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   prune(by_type_, 't', touched_types);
   if (removed > 0) {
     ++mutation_count_;
-    for (uint64_t bucket : touched_buckets) {
-      ++range_mutations_[bucket];
-    }
   }
   return removed;
 }

@@ -106,44 +106,27 @@ class ProvDb {
   uint64_t EdgeCount() const { return edge_count_; }
 
   // Monotone counter bumped by every mutating call that changed the database
-  // (Insert, an inserting InsertUnique, a removing DeleteRange). Caches over
-  // the query surface — the federated portal's result cache — fingerprint
-  // this to detect that their entries may be stale.
+  // (Insert, an inserting InsertUnique, a removing DeleteRange). The
+  // federated portal's whole-cache baseline fingerprints this, and
+  // frontier cursors are past values of it.
   uint64_t mutation_count() const { return mutation_count_; }
 
-  // ---- Per-range mutation fingerprints -------------------------------------
-  // The whole-database mutation_count() makes any ingest look like it could
-  // have changed any cached row. These counters refine it: the pnode space is
-  // carved into power-of-two buckets of 2^kRangeBucketBits pnodes, and every
-  // mutation bumps the bucket of each pnode that *keys* a touched row (the
-  // subject of an attribute record or forward edge, the ancestor of a reverse
-  // row). A cached per-node result is stale iff the bucket of its keying
-  // pnode moved, so the federated portal invalidates exactly the entries
-  // whose range actually changed.
-  static constexpr int kRangeBucketBits = 6;  // 64 pnodes per bucket
-
-  static constexpr uint64_t RangeBucketOf(core::PnodeId pnode) {
-    return pnode >> kRangeBucketBits;
+  // ---- Per-pnode change stamps ---------------------------------------------
+  // changed_at(pnode) is the mutation_count() of the last mutation of a row
+  // *keyed* by `pnode` (0 = never): an attribute record or forward edge
+  // stamps its subject, a reverse row its ancestor, and DeleteRange every
+  // pnode whose rows it removed; a duplicate InsertUnique stamps nothing.
+  // The federated portal fingerprints a cached per-node result with its
+  // keying pnode's stamp, so a write invalidates exactly the entries of the
+  // pnodes it touched.
+  uint64_t changed_at(core::PnodeId pnode) const {
+    auto it = changed_at_.find(pnode);
+    return it == changed_at_.end() ? 0 : it->second;
   }
-
-  // Mutation counter of the bucket holding `pnode` (0 = never touched).
-  uint64_t range_mutation_count(core::PnodeId pnode) const {
-    auto it = range_mutations_.find(RangeBucketOf(pnode));
-    return it == range_mutations_.end() ? 0 : it->second;
-  }
-
-  // The whole bucket-counter map. Frontier publication diffs a snapshot of
-  // this against the live map: a bucket whose counter moved holds at least
-  // one pnode whose rows changed, so the pnodes of dirty buckets are the
-  // shard's "new/changed pnode" frontier since the snapshot.
-  const std::map<uint64_t, uint64_t>& range_mutation_buckets() const {
-    return range_mutations_;
-  }
-
-  // Pnodes with at least one known version in [begin, end), ascending (same
-  // membership rule as AllPnodes, restricted to the range).
-  std::vector<core::PnodeId> PnodesInRange(core::PnodeId begin,
-                                           core::PnodeId end) const;
+  // Pnodes whose stamp is greater than `cursor` (a past mutation_count()),
+  // ascending: the shard's "new/changed pnode" frontier since the cursor,
+  // read by frontier publication. One scan of the stamp map.
+  std::vector<core::PnodeId> PnodesChangedSince(uint64_t cursor) const;
 
   // Latest TYPE attribute value of `pnode` ("" when untyped).
   std::string TypeOf(core::PnodeId pnode) const;
@@ -202,9 +185,8 @@ class ProvDb {
   uint64_t record_count_ = 0;
   uint64_t edge_count_ = 0;
   uint64_t mutation_count_ = 0;
-  // bucket id (pnode >> kRangeBucketBits) -> mutations touching rows keyed
-  // by a pnode in that bucket.
-  std::map<uint64_t, uint64_t> range_mutations_;
+  // pnode -> changed_at() stamp.
+  std::map<core::PnodeId, uint64_t> changed_at_;
 };
 
 }  // namespace pass::waldo

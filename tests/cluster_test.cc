@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -475,6 +476,44 @@ TEST(ClusterTest, SingleShardClusterNeedsNoNetwork) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->rows.size(), 5u);
   EXPECT_EQ(cluster.network().stats().round_trips, 0u);
+}
+
+// Frontier publication reports exactly the pnodes a write keyed rows under
+// — the new file (its attributes and forward edges) and each ancestor (its
+// reverse row) — each once, from its owner. The chain's other pnodes share
+// the new file's pnode neighbourhood and must stay out.
+TEST(ClusterTest, FrontierSinceReportsExactlyThePnodesAWriteTouched) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  auto refs = WriteLineageChain(&cluster, 8, /*spread=*/2).value();
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  FrontierSnapshot cursor = cluster.CaptureFrontier();
+  auto fresh = cluster.WriteWithLineage(1, "/fresh", "x", {refs[0]});
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  const waldo::ProvDb& home = cluster.shard_db(cluster.OwnerOf(fresh->pnode));
+  std::set<core::PnodeId> touched = {fresh->pnode};
+  for (core::Version version : home.VersionsOf(fresh->pnode)) {
+    for (const core::ObjectRef& input : home.Inputs({fresh->pnode, version})) {
+      touched.insert(input.pnode);
+    }
+  }
+  ASSERT_TRUE(touched.count(refs[0].pnode));
+
+  FrontierDelta delta = cluster.FrontierSince(cursor);
+  std::set<core::PnodeId> reported;
+  for (const FrontierEntry& entry : delta.entries) {
+    EXPECT_TRUE(reported.insert(entry.pnode).second) << entry.pnode;
+    EXPECT_EQ(entry.shard, cluster.OwnerOf(entry.pnode)) << entry.pnode;
+  }
+  EXPECT_EQ(reported, touched);
+
+  // A cursor taken after the write sees nothing, and costs no RPC.
+  FrontierDelta quiet = cluster.FrontierSince(cluster.CaptureFrontier());
+  EXPECT_TRUE(quiet.entries.empty());
+  EXPECT_EQ(quiet.shards_reporting, 0u);
+  EXPECT_EQ(quiet.rpcs, 0u);
 }
 
 // ---- The cluster oracle itself must be able to fail ------------------------

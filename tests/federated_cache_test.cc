@@ -1,7 +1,7 @@
 // Tests for the federated query portal: frontier-shipped RPCs and the
 // byte-bounded portal result cache, including its invalidation contract —
-// every cached entry carries its owner shard's per-range mutation
-// fingerprint, and lookups revalidate it, so the portal can never serve
+// every cached entry carries its owner shard's change stamp for the
+// entry's pnode, and lookups revalidate it, so the portal can never serve
 // stale ownership or stale data while churn elsewhere leaves entries warm.
 
 #include <gtest/gtest.h>
@@ -193,7 +193,7 @@ TEST(FederatedCacheTest, ZeroBudgetDisablesCaching) {
 TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   ClusterCoordinator cluster(SmallCluster(4));
   // Chain over shards 0-2 only: shard 3 is pure churn, so no cached pnode
-  // shares a fingerprint bucket with the churn writes.
+  // is stamped by the churn writes.
   ASSERT_TRUE(WriteLineageChain(&cluster, 12, /*spread=*/3).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
@@ -204,7 +204,7 @@ TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   EXPECT_EQ(before, QueryRows(&flush, kTailClosure).value());
 
   // Churn: new lineage-free files on shard 3 only. The chain's pnodes and
-  // rows are untouched; only shard 3 buckets outside the chain move.
+  // rows are untouched; only shard 3 stamps outside the chain move.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
         cluster.WriteWithLineage(3, "/churn" + std::to_string(i), "x", {})
@@ -242,13 +242,45 @@ TEST(FederatedCacheTest, FingerprintCatchesMutationOfCachedRange) {
   EXPECT_EQ(before.size(), 1u);
 
   // /b descends from /a: replication inserts a reverse-index row keyed by
-  // /a's pnode on shard 0, moving its bucket fingerprint.
+  // /a's pnode on shard 0, moving its change stamp.
   ASSERT_TRUE(cluster.WriteWithLineage(1, "/b", "bbb", {*a}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
   auto after = QueryRows(&source, descendants).value();
   EXPECT_EQ(after.size(), 2u);
   EXPECT_EQ(after, MergedRows(cluster, descendants).value());
   EXPECT_GT(source.stats().cache_entries_invalidated, 0u);
+  EXPECT_EQ(source.stats().cache_invalidations_full, 0u);
+}
+
+// Stamps are per pnode: a write keyed by pnode p drops p's cached entries
+// and leaves those of its neighbour p + 1 warm.
+TEST(FederatedCacheTest, IngestIntoOnePnodeKeepsItsNeighboursEntries) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  auto refs = WriteLineageChain(&cluster, 12, /*spread=*/1).value();
+  ASSERT_TRUE(cluster.Sync().ok());
+  size_t i = 0;
+  while (i + 1 < refs.size() && refs[i + 1].pnode != refs[i].pnode + 1) {
+    ++i;
+  }
+  ASSERT_LT(i + 1, refs.size()) << "no two chain files on adjacent pnodes";
+  const core::ObjectRef p = refs[i];
+  const core::ObjectRef next = refs[i + 1];
+
+  // Portal on shard 1: the chain lives on shard 0, so every entry the
+  // closure warms is a remote fetch the portal caches.
+  FederatedSource source = cluster.Source(/*portal_shard=*/1);
+  ASSERT_TRUE(QueryRows(&source, kTailClosure).ok());
+  FederatedSourceTestPeer peer(&source);
+  uint32_t name_id = peer.Intern("name");
+
+  // A descendant of p on shard 1: replication lands a reverse row keyed by
+  // p on shard 0, and nothing keyed by p + 1.
+  ASSERT_TRUE(cluster.WriteWithLineage(1, "/child", "x", {p}).ok());
+  ASSERT_TRUE(cluster.Sync().ok());
+  peer.Validate();
+  EXPECT_TRUE(peer.ProbeAttr(next.pnode, name_id));
+  EXPECT_TRUE(peer.ProbeEdges(next, /*inverse=*/false));
+  EXPECT_FALSE(peer.ProbeAttr(p.pnode, name_id));
   EXPECT_EQ(source.stats().cache_invalidations_full, 0u);
 }
 

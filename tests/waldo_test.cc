@@ -7,6 +7,8 @@
 #include "src/fs/memfs.h"
 #include "src/lasagna/lasagna.h"
 #include "src/sim/env.h"
+#include "src/util/crc32.h"
+#include "src/util/encode.h"
 #include "src/waldo/kvstore.h"
 #include "src/waldo/provdb.h"
 #include "src/waldo/waldo.h"
@@ -129,6 +131,23 @@ TEST(KvStoreTest, DeserializeRejectsCorruption) {
   image[image.size() / 2] ^= 0x10;
   auto restored = KvStore::Deserialize(image);
   EXPECT_FALSE(restored.ok());
+}
+
+// A frame whose CRC covers a body longer than its key and value is not a
+// frame this store writes: it must not deserialize.
+TEST(KvStoreTest, DeserializeRejectsTrailingBytesInFrame) {
+  std::string payload;
+  PutU8(&payload, 0);
+  PutBytes(&payload, "key");
+  PutBytes(&payload, "value");
+  payload.append("xx");
+  std::string image;
+  PutU32(&image, static_cast<uint32_t>(payload.size()));
+  PutU32(&image, Crc32(payload));
+  image.append(payload);
+  auto restored = KvStore::Deserialize(image);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), Code::kCorrupt);
 }
 
 // ---- ProvDb ------------------------------------------------------------------
@@ -506,57 +525,97 @@ TEST_F(WaldoTest, MultipleRotationsAllIngested) {
   EXPECT_GE(db_.RecordsOf({file->pnode(), 0}).size(), 20u);
 }
 
-// Per-range mutation fingerprints: every row keyed into a 64-pnode bucket
-// bumps that bucket's counter, and only that bucket's — the federated
-// cache's per-entry revalidation depends on untouched buckets staying put.
-TEST(ProvDbTest, RangeFingerprintsTrackMutationsPerBucket) {
+// Per-pnode change stamps: a row stamps exactly the pnode that keys it with
+// the mutation that wrote it, and no other pnode — the federated cache's
+// per-entry revalidation and the standing tier's frontier both depend on a
+// write leaving its neighbours' stamps put.
+using Pnodes = std::vector<core::PnodeId>;
+
+TEST(ProvDbTest, ChangeStampsTrackMutationsPerPnode) {
   ProvDb db;
-  EXPECT_EQ(db.range_mutation_count(10), 0u);
+  EXPECT_EQ(db.changed_at(10), 0u);
+  EXPECT_EQ(db.PnodesChangedSince(0), Pnodes{});
   db.Insert(Entry({10, 0}, core::Record::Name("/a")));
-  // 10 and 63 share bucket 0; 64 starts bucket 1.
-  EXPECT_EQ(db.range_mutation_count(10), 1u);
-  EXPECT_EQ(db.range_mutation_count(63), 1u);
-  EXPECT_EQ(db.range_mutation_count(64), 0u);
-  // An edge bumps both endpoints' buckets: the reverse-index row under the
-  // ancestor is as much a mutation of its range as the forward row.
+  EXPECT_EQ(db.changed_at(10), 1u);
+  EXPECT_EQ(db.changed_at(10), db.mutation_count());
+  // Neither a neighbour nor a pnode that shared a 64-pnode range with 10
+  // moves.
+  EXPECT_EQ(db.changed_at(9), 0u);
+  EXPECT_EQ(db.changed_at(11), 0u);
+  EXPECT_EQ(db.changed_at(63), 0u);
+  // An edge stamps both endpoints: the reverse-index row under the ancestor
+  // is as much a mutation of the ancestor as the forward row is of the
+  // subject.
   db.Insert(Entry({70, 0}, core::Record::Input({10, 0})));
-  EXPECT_EQ(db.range_mutation_count(70), 1u);
-  EXPECT_EQ(db.range_mutation_count(10), 2u);
+  EXPECT_EQ(db.changed_at(70), 2u);
+  EXPECT_EQ(db.changed_at(10), 2u);
+  EXPECT_EQ(db.changed_at(11), 0u);
+  EXPECT_EQ(db.changed_at(71), 0u);
+  EXPECT_EQ(db.PnodesChangedSince(0), (Pnodes{10, 70}));
+  EXPECT_EQ(db.PnodesChangedSince(1), (Pnodes{10, 70}));
+  EXPECT_EQ(db.PnodesChangedSince(2), Pnodes{});
+  db.Insert(Entry({11, 0}, core::Record::Name("/b")));
+  EXPECT_EQ(db.PnodesChangedSince(2), Pnodes{11});
+  EXPECT_EQ(db.changed_at(10), 2u);
 }
 
-TEST(ProvDbTest, RangeFingerprintIgnoresDuplicateInsertUnique) {
+TEST(ProvDbTest, ChangeStampIgnoresDuplicateInsertUnique) {
   ProvDb db;
   EXPECT_TRUE(db.InsertUnique(Entry({10, 0}, core::Record::Name("/a"))));
-  uint64_t after_first = db.range_mutation_count(10);
-  EXPECT_GT(after_first, 0u);
+  EXPECT_TRUE(db.InsertUnique(Entry({11, 0}, core::Record::Input({10, 0}))));
+  uint64_t settled = db.mutation_count();
+  uint64_t stamp10 = db.changed_at(10);
+  uint64_t stamp11 = db.changed_at(11);
   // A replayed row is not a mutation: redelivered ingest batches must not
-  // shake warm cache entries loose.
+  // shake warm cache entries loose or re-publish frontier pnodes.
   EXPECT_FALSE(db.InsertUnique(Entry({10, 0}, core::Record::Name("/a"))));
-  EXPECT_EQ(db.range_mutation_count(10), after_first);
+  EXPECT_FALSE(db.InsertUnique(Entry({11, 0}, core::Record::Input({10, 0}))));
+  EXPECT_EQ(db.mutation_count(), settled);
+  EXPECT_EQ(db.changed_at(10), stamp10);
+  EXPECT_EQ(db.changed_at(11), stamp11);
+  EXPECT_EQ(db.PnodesChangedSince(settled), Pnodes{});
+  // A new row for 10 stamps 10 alone.
   EXPECT_TRUE(db.InsertUnique(Entry({10, 0}, core::Record::Name("/b"))));
-  EXPECT_GT(db.range_mutation_count(10), after_first);
+  EXPECT_EQ(db.changed_at(10), db.mutation_count());
+  EXPECT_EQ(db.changed_at(11), stamp11);
+  EXPECT_EQ(db.PnodesChangedSince(settled), Pnodes{10});
+  // Half an edge: deleting [10, 11) drops the reverse row keyed by 10 but
+  // keeps 11's forward row, so re-inserting the edge adds (and stamps) only
+  // the ancestor's side.
+  EXPECT_GT(db.DeleteRange(10, 11), 0u);
+  settled = db.mutation_count();
+  stamp11 = db.changed_at(11);
+  EXPECT_TRUE(db.InsertUnique(Entry({11, 0}, core::Record::Input({10, 0}))));
+  EXPECT_EQ(db.PnodesChangedSince(settled), Pnodes{10});
+  EXPECT_EQ(db.changed_at(11), stamp11);
 }
 
-TEST(ProvDbTest, DeleteRangeBumpsOnlyTouchedBuckets) {
-  // RangeDb's pnodes (10-12, 50) all share bucket 0; the far subject must
-  // sit past pnode 63 to own a bucket of its own.
+TEST(ProvDbTest, DeleteRangeStampsOnlyPnodesWhoseRowsItRemoved) {
   ProvDb db;
   db.Insert(Entry({10, 0}, core::Record::Name("/a")));
   db.Insert(Entry({11, 0}, core::Record::Input({10, 0})));
+  db.Insert(Entry({12, 0}, core::Record::Name("/c")));
   db.Insert(Entry({200, 0}, core::Record::Name("/far")));
   db.Insert(Entry({200, 0}, core::Record::Input({11, 0})));
-  uint64_t near = db.range_mutation_count(10);
-  uint64_t far = db.range_mutation_count(200);
-  EXPECT_GT(db.DeleteRange(10, 64), 0u);
-  EXPECT_GT(db.range_mutation_count(10), near);
-  // Every deleted row was keyed in [10, 64) — all bucket 0, including the
-  // 11 <- 200 reverse row. Pnode 200's rows survive (even its forward edge
-  // into the range), so its bucket must not move.
-  EXPECT_EQ(db.range_mutation_count(200), far);
+  uint64_t before = db.mutation_count();
+  uint64_t stamp12 = db.changed_at(12);
+  uint64_t stamp200 = db.changed_at(200);
+  EXPECT_GT(db.DeleteRange(10, 12), 0u);
+  // One mutation, stamped on the pnodes keying the removed rows: 10 (its
+  // attributes and reverse row) and 11 (its forward edge and the 11 <- 200
+  // reverse row). Pnode 12 sits just past the range and pnode 200's rows
+  // all survive (even its forward edge into the range): neither moves.
+  EXPECT_EQ(db.mutation_count(), before + 1);
+  EXPECT_EQ(db.changed_at(10), db.mutation_count());
+  EXPECT_EQ(db.changed_at(11), db.mutation_count());
+  EXPECT_EQ(db.changed_at(12), stamp12);
+  EXPECT_EQ(db.changed_at(200), stamp200);
+  EXPECT_EQ(db.PnodesChangedSince(before), (Pnodes{10, 11}));
   // Deleting an already-empty range is not a mutation anywhere.
-  uint64_t settled = db.range_mutation_count(10);
-  EXPECT_EQ(db.DeleteRange(10, 64), 0u);
-  EXPECT_EQ(db.range_mutation_count(10), settled);
+  uint64_t settled = db.mutation_count();
+  EXPECT_EQ(db.DeleteRange(10, 12), 0u);
+  EXPECT_EQ(db.mutation_count(), settled);
+  EXPECT_EQ(db.PnodesChangedSince(settled), Pnodes{});
 }
 
 }  // namespace
