@@ -21,7 +21,7 @@ int main() {
   const auto& analyzer = machine.pass()->analyzer_stats();
   const auto& distributor = machine.pass()->distributor_stats();
   const auto& lasagna = machine.volume()->lasagna_stats();
-  const auto& waldo = machine.waldo()->stats();
+  auto waldo = machine.waldo()->stats();
   auto db = machine.db()->stats();
 
   std::printf("Figure 2: the PASSv2 pipeline (Mercurial workload)\n\n");
@@ -51,9 +51,9 @@ int main() {
               (unsigned long long)lasagna.data_bytes_written,
               (unsigned long long)lasagna.rotations);
   std::printf("[waldo]                 logs=%llu entries=%llu orphans=%llu\n",
-              (unsigned long long)waldo.logs_processed,
+              (unsigned long long)waldo.filter.logs,
               (unsigned long long)waldo.entries_ingested,
-              (unsigned long long)waldo.orphans_discarded);
+              (unsigned long long)waldo.open_txns);
   std::printf("[database]              objects=%llu records=%llu edges=%llu "
               "db_bytes=%llu index_bytes=%llu\n",
               (unsigned long long)db.objects, (unsigned long long)db.records,

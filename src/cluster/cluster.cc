@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/lasagna/recovery.h"
 #include "src/util/encode.h"
 #include "src/util/md5.h"
 #include "src/obs/obs.h"
@@ -78,21 +77,18 @@ Status ClusterCoordinator::Sync() {
     }
     obs::ScopedSpan shard_span(trace, "sync.shard", shard);
     workloads::Machine& m = *machines_[shard];
-    lasagna::LasagnaFs* volume = m.volume();
-    lasagna::RecoveryReport report;
+    std::vector<lasagna::LogEntry> entries;
     {
       obs::ScopedSpan recover_span(trace, "sync.recover_log", shard);
-      PASS_RETURN_IF_ERROR(volume->ForceRotate());
-      // Recover the closed logs exactly as a restarted Waldo would: complete
-      // transactions survive, orphans and torn tails are discarded.
-      PASS_ASSIGN_OR_RETURN(report, lasagna::RunRecovery(&m.basefs()));
+      PASS_RETURN_IF_ERROR(m.volume()->ForceRotate());
+      PASS_ASSIGN_OR_RETURN(entries, m.waldo()->Take());
     }
     // Replication batches born from this shard's logs journal here.
     queue_->SetJournal(journals_[shard].get());
     {
       obs::ScopedSpan apply_span(trace, "sync.apply_local", shard);
-      for (const lasagna::LogEntry& entry : report.recovered_entries) {
-        // InsertUnique, not Insert: after a crash the same log is recovered
+      for (const lasagna::LogEntry& entry : entries) {
+        // InsertUnique, not Insert: after a crash the same log is taken
         // again, and local replay must not duplicate rows.
         m.db()->InsertUnique(entry);  // local ingest: no network
         queue_->Offer(shard, entry);
@@ -110,9 +106,7 @@ Status ClusterCoordinator::Sync() {
       return Unavailable("sync: coordinator crashed");
     }
     obs::ScopedSpan remove_span(trace, "sync.remove_logs", shard);
-    for (const std::string& path : volume->ClosedLogPaths()) {
-      PASS_RETURN_IF_ERROR(volume->RemoveLog(path));
-    }
+    PASS_RETURN_IF_ERROR(m.waldo()->Remove());
   }
   sync_span.End();
   obs::MetricRegistry& metrics = env_.obs().metrics();

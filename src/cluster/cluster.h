@@ -15,8 +15,9 @@
 //   * runs workloads on individual shards;
 //   * builds cross-shard lineage via the DPAPI (a write on shard B can
 //     disclose INPUT edges to objects owned by shard A);
-//   * recovers each shard's Lasagna log into the shard-local ProvDb and
-//     pushes cross-shard entries through the batched IngestQueue
+//   * consumes each shard's Lasagna log through that shard's Waldo into
+//     the shard-local ProvDb and pushes cross-shard entries through the
+//     batched IngestQueue
 //     (see src/cluster/ingest.h), charging network per batch — by default
 //     pipelined: batches are acked at the group-committed journal write
 //     and shipped on a background async timeline that only a Quiesce()
@@ -192,12 +193,16 @@ class ClusterCoordinator {
   // Current (pnode, version) of `path` on `shard`.
   Result<core::ObjectRef> RefOfPath(int shard, const std::string& path);
 
-  // Recover every shard's Lasagna log into its local ProvDb and replicate
-  // cross-shard entries through the batched ingest queue. Idempotent:
-  // consumed logs are removed, so repeated calls only process new records.
-  // Every replication batch is journaled before the network is charged and
-  // logs are only removed once their batches are journaled, so a crash at
-  // any point (sim::Env::CrashAfterOps) is repaired by Recover(); the
+  // Consume every shard's closed Lasagna logs through the shard's Waldo
+  // (Waldo::Take): the entries of committed transactions, in ENDTXN order,
+  // go into the local ProvDb and cross-shard ones through the batched
+  // ingest queue. This is exactly what a standalone machine's Waldo
+  // ingests; no MD5 check runs, so writes to files renamed or deleted
+  // since keep their lineage. Idempotent: consumed logs are removed
+  // (Waldo::Remove), so repeated calls only process new records. Every
+  // replication batch is journaled before the network is charged and logs
+  // are only removed once their batches are journaled, so a crash at any
+  // point (sim::Env::CrashAfterOps) is repaired by Recover(); the
   // interrupted call returns Unavailable.
   //
   // Under pipelined replication (the default) Sync returns at the

@@ -3,8 +3,8 @@
 
 // Cross-shard ingest/replication queue.
 //
-// Each shard recovers its own Lasagna log into its local ProvDb, so purely
-// local provenance never touches the network. Two kinds of entries must
+// Each shard's Waldo ingests its own Lasagna log into its local ProvDb, so
+// purely local provenance never touches the network. Two kinds of entries must
 // additionally reach a *remote* shard before federated queries are complete:
 //
 //   * a record whose subject pnode is owned by another shard (disclosed

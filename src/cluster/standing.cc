@@ -368,17 +368,6 @@ Result<std::vector<StandingNotification>> StandingQueryTier::Refresh() {
   return notes;
 }
 
-std::set<std::vector<std::string>> StandingQueryTier::PresentKeys(
-    const StandingQuery& query) const {
-  std::set<std::vector<std::string>> present;
-  for (const auto& [root, rows] : query.rows_by_root) {
-    for (const auto& [key, row] : rows) {
-      present.insert(key);
-    }
-  }
-  return present;
-}
-
 Result<pql::QueryResult> StandingQueryTier::ResultOf(uint64_t id) const {
   auto it = queries_.find(id);
   if (it == queries_.end()) {

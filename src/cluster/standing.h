@@ -226,10 +226,6 @@ class StandingQueryTier {
   Status EvalAndMerge(StandingQuery* query,
                       const std::set<core::PnodeId>* roots, bool seed);
 
-  // Distinct row keys currently present for a query.
-  std::set<std::vector<std::string>> PresentKeys(
-      const StandingQuery& query) const;
-
   ClusterCoordinator* cluster_;
   FederatedSource source_;   // live-map federated view, owned by the tier
   MeteredSource meter_;      // everything the tier reads goes through this

@@ -77,9 +77,6 @@ class LibPass {
     return system_->RefOfObject(object);
   }
 
-  // Reference of the calling process object.
-  ObjectRef SelfRef() { return system_->RefOfPid(pid_); }
-
  private:
   PassSystem* system_;
   os::Pid pid_;

@@ -288,12 +288,4 @@ Result<size_t> PassRecorder::PerformWrite(KeplerEngine& engine, Operator& op,
   return *n;
 }
 
-Result<core::ObjectRef> PassRecorder::OperatorRef(const Operator& op) const {
-  auto it = objects_.find(&op);
-  if (it == objects_.end()) {
-    return NotFound("operator has no PASS object: " + op.name());
-  }
-  return core::ObjectRef{it->second.pnode, 0};
-}
-
 }  // namespace pass::kepler

@@ -240,9 +240,6 @@ class PassRecorder : public Recorder {
                               const std::string& path,
                               const Token& token) override;
 
-  // PASS object backing an operator (tests / queries).
-  Result<core::ObjectRef> OperatorRef(const Operator& op) const;
-
  private:
   core::LibPass lib_;
   std::map<const Operator*, core::PassObject> objects_;

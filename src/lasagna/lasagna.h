@@ -156,9 +156,11 @@ class LasagnaFs : public os::FileSystem {
   // ---- Protocol-level transactions (PA-NFS server side, §6.1.2) -----------
   // A client's pass_write whose bundle exceeds the wire size arrives as
   // OP_BEGINTXN + n x OP_PASSPROV + OP_PASSWRITE(ENDTXN). Each chunk is
-  // logged on arrival (write-ahead provenance holds across the network);
-  // a BEGINTXN without its commit is orphaned provenance that Waldo and
-  // recovery discard — precisely the client-crash story of the paper.
+  // logged on arrival (write-ahead provenance holds across the network),
+  // so the chunks may span several logs; Waldo holds the transaction open
+  // until its commit. A BEGINTXN whose commit never comes is orphaned
+  // provenance that Waldo never ingests and recovery discards — precisely
+  // the client-crash story of the paper.
   //
   // Allocate an id and log the BEGINTXN record.
   Result<uint64_t> BeginExternalTxn();

@@ -10,17 +10,6 @@
 namespace pass::lasagna {
 namespace {
 
-struct OpenTxn {
-  std::vector<LogEntry> entries;  // including BEGINTXN
-};
-
-// A complete data transaction whose extent has not been superseded by a
-// later overlapping write: still individually verifiable at recovery.
-struct PendingWrite {
-  TxnDescriptor descriptor;
-  std::vector<LogEntry> entries;
-};
-
 bool Overlaps(const TxnDescriptor& a, const TxnDescriptor& b) {
   return a.offset < b.offset + b.length && b.offset < a.offset + a.length;
 }
@@ -35,6 +24,56 @@ uint64_t LogNumber(const std::string& name) {
 }
 
 }  // namespace
+
+Result<std::vector<CommittedTxn>> TxnFilter::ReadLog(fs::MemFs* lower,
+                                                     const std::string& path) {
+  PASS_ASSIGN_OR_RETURN(std::string image, lower->ReadFileRaw(path));
+  bool truncated = false;
+  PASS_ASSIGN_OR_RETURN(std::vector<LogEntry> entries,
+                        ParseLog(image, &truncated));
+  ++stats_.logs;
+  stats_.truncated_logs += truncated ? 1 : 0;
+  std::vector<CommittedTxn> committed;
+  for (LogEntry& entry : entries) {
+    const core::Record& record = entry.record;
+    if (record.attr == core::Attr::kBeginTxn) {
+      if (const auto* id = std::get_if<int64_t>(&record.value)) {
+        open_.push_back(OpenTxn{static_cast<uint64_t>(*id), {}});
+      } else {
+        ++stats_.strays;  // a BEGINTXN without an id frames nothing
+      }
+      continue;
+    }
+    if (record.attr == core::Attr::kEndTxn) {
+      const auto* blob = std::get_if<std::string>(&record.value);
+      Result<TxnDescriptor> descriptor = DecodeTxnDescriptor(
+          blob != nullptr ? std::string_view(*blob) : std::string_view());
+      if (!descriptor.ok()) {
+        ++stats_.undecodable_ends;
+        continue;
+      }
+      auto open = std::find_if(
+          open_.rbegin(), open_.rend(),
+          [&](const OpenTxn& txn) { return txn.id == descriptor->txn_id; });
+      if (open == open_.rend()) {
+        ++stats_.unmatched_ends;
+        continue;
+      }
+      ++stats_.committed_txns;
+      stats_.committed_entries += open->entries.size();
+      committed.push_back(
+          CommittedTxn{std::move(*descriptor), std::move(open->entries)});
+      open_.erase(std::next(open).base());
+      continue;
+    }
+    if (open_.empty()) {
+      ++stats_.strays;
+      continue;
+    }
+    open_.back().entries.push_back(std::move(entry));
+  }
+  return committed;
+}
 
 Result<RecoveryReport> RunRecovery(fs::MemFs* lower,
                                    const std::string& log_dir) {
@@ -55,93 +94,52 @@ Result<RecoveryReport> RunRecovery(fs::MemFs* lower,
               return LogNumber(a) < LogNumber(b);
             });
 
-  std::map<uint64_t, OpenTxn> open_txns;
-  // Per data path, the complete transactions still awaiting verification,
+  TxnFilter filter;
+  // Per data path, the committed transactions still awaiting verification,
   // in log order. A later write that overlaps an earlier pending extent
   // supersedes it (the earlier data was durable before the later frames
   // were logged, and the overlap makes its bytes unverifiable); disjoint
   // extents of one file stay independently verifiable.
-  std::map<std::string, std::vector<PendingWrite>> pending_writes;
+  std::map<std::string, std::vector<CommittedTxn>> pending_writes;
+  auto recover = [&](std::vector<LogEntry>* entries) {
+    for (LogEntry& entry : *entries) {
+      report.recovered_entries.push_back(std::move(entry));
+    }
+  };
 
   for (const std::string& name : names) {
-    std::string path = log_dir + "/" + name;
-    PASS_ASSIGN_OR_RETURN(std::string image, lower->ReadFileRaw(path));
-    ++report.logs_scanned;
-    bool truncated = false;
-    PASS_ASSIGN_OR_RETURN(std::vector<LogEntry> entries,
-                          ParseLog(image, &truncated));
-    if (truncated) {
-      ++report.truncated_logs;
-    }
-    for (LogEntry& entry : entries) {
-      ++report.records_scanned;
-      if (entry.record.attr == core::Attr::kBeginTxn) {
-        uint64_t txn_id = static_cast<uint64_t>(
-            std::get<int64_t>(entry.record.value));
-        open_txns[txn_id].entries.push_back(std::move(entry));
+    PASS_ASSIGN_OR_RETURN(std::vector<CommittedTxn> committed,
+                          filter.ReadLog(lower, log_dir + "/" + name));
+    for (CommittedTxn& txn : committed) {
+      if (txn.descriptor.path.empty()) {
+        // Provenance-only transaction: always consistent once complete.
+        recover(&txn.entries);
         continue;
       }
-      if (entry.record.attr == core::Attr::kEndTxn) {
-        const auto& blob = std::get<std::string>(entry.record.value);
-        PASS_ASSIGN_OR_RETURN(TxnDescriptor descriptor,
-                              DecodeTxnDescriptor(blob));
-        auto it = open_txns.find(descriptor.txn_id);
-        if (it == open_txns.end()) {
-          // END without BEGIN: treat as orphaned.
-          ++report.orphaned_txns;
-          continue;
+      // Data transaction: supersede pending checks its extent overlaps
+      // (their data became durable before this txn was logged).
+      auto& pending = pending_writes[txn.descriptor.path];
+      for (auto superseded = pending.begin(); superseded != pending.end();) {
+        if (Overlaps(superseded->descriptor, txn.descriptor)) {
+          ++report.consistent_extents;
+          recover(&superseded->entries);
+          superseded = pending.erase(superseded);
+        } else {
+          ++superseded;
         }
-        ++report.complete_txns;
-        std::vector<LogEntry> txn_entries = std::move(it->second.entries);
-        open_txns.erase(it);
-        txn_entries.erase(
-            std::remove_if(txn_entries.begin(), txn_entries.end(),
-                           [](const LogEntry& e) {
-                             return e.record.attr == core::Attr::kBeginTxn;
-                           }),
-            txn_entries.end());
-        if (descriptor.path.empty()) {
-          // Provenance-only transaction: always consistent once complete.
-          for (auto& e : txn_entries) {
-            report.recovered_entries.push_back(std::move(e));
-          }
-          continue;
-        }
-        // Data transaction: supersede pending checks its extent overlaps
-        // (their data became durable before this txn was logged).
-        auto& pending = pending_writes[descriptor.path];
-        for (auto superseded = pending.begin();
-             superseded != pending.end();) {
-          if (Overlaps(superseded->descriptor, descriptor)) {
-            ++report.consistent_extents;
-            for (auto& e : superseded->entries) {
-              report.recovered_entries.push_back(std::move(e));
-            }
-            superseded = pending.erase(superseded);
-          } else {
-            ++superseded;
-          }
-        }
-        pending.push_back(
-            PendingWrite{std::move(descriptor), std::move(txn_entries)});
-        continue;
       }
-      // Ordinary record: attach to the (single) open transaction if one
-      // exists; otherwise it is a stray record (count as scanned only).
-      if (!open_txns.empty()) {
-        open_txns.rbegin()->second.entries.push_back(std::move(entry));
-      }
+      pending.push_back(std::move(txn));
     }
   }
-
-  report.orphaned_txns += open_txns.size();
+  report.filter = filter.stats();
+  report.orphaned_txns = filter.stats().unmatched_ends + filter.open_txns();
 
   // Verify every still-pending write against the on-disk bytes. A path can
   // fail more than once (disjoint extents); it is reported once.
   std::set<std::string> inconsistent;
   for (auto& [path, pending] : pending_writes) {
     auto data = lower->ReadFileRaw(path);
-    for (PendingWrite& write : pending) {
+    for (CommittedTxn& write : pending) {
       const TxnDescriptor& descriptor = write.descriptor;
       bool consistent = false;
       if (data.ok() &&
@@ -152,9 +150,7 @@ Result<RecoveryReport> RunRecovery(fs::MemFs* lower,
       }
       if (consistent) {
         ++report.consistent_extents;
-        for (auto& e : write.entries) {
-          report.recovered_entries.push_back(std::move(e));
-        }
+        recover(&write.entries);
       } else {
         ++report.inconsistent_extents;
         if (inconsistent.insert(path).second) {

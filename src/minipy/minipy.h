@@ -182,10 +182,8 @@ class Interp {
   os::Kernel* kernel() { return kernel_; }
   os::Pid pid() const { return pid_; }
   core::LibPass* lib() { return lib_; }
-  bool provenance_aware() const { return lib_ != nullptr; }
   const std::string& output() const { return output_; }
   const MiniPyStats& stats() const { return minipy_stats_; }
-  std::shared_ptr<Scope> globals() { return globals_; }
 
   void Print(const std::string& line);
 

@@ -65,12 +65,6 @@ TraceContext TraceCollector::CurrentContext() const {
   return TraceContext{span.trace_id, span.id};
 }
 
-void TraceCollector::Clear() {
-  PASS_CHECK(open_.empty());
-  spans_.clear();
-  events_.clear();
-}
-
 std::string TraceCollector::ChromeTraceJson() const {
   // Replaying the event log in recording order keeps every (pid, tid)
   // stream's B/E events balanced and LIFO — what chrome://tracing and

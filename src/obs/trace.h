@@ -69,7 +69,6 @@ class TraceCollector {
 
   const std::vector<SpanRecord>& spans() const { return spans_; }
   size_t open_spans() const { return open_.size(); }
-  void Clear();
 
   std::string ChromeTraceJson() const;
 

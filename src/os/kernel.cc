@@ -85,7 +85,7 @@ Status Kernel::Exec(Pid pid, std::string_view path,
   return Status::Ok();
 }
 
-Status Kernel::Exit(Pid pid, int code) {
+Status Kernel::Exit(Pid pid, int /*code*/) {
   ChargeSyscall();
   PASS_ASSIGN_OR_RETURN(Process * proc, GetProcess(pid));
   if (interceptor_ != nullptr) {
@@ -99,7 +99,7 @@ Status Kernel::Exit(Pid pid, int code) {
   for (Fd fd : fds) {
     (void)Close(pid, fd);
   }
-  proc->MarkExited(code);
+  proc->MarkExited();
   return Status::Ok();
 }
 
@@ -391,16 +391,6 @@ Status Kernel::Dup2(Pid pid, Fd from, Fd to) {
   PASS_ASSIGN_OR_RETURN(OpenFileRef file, proc->GetFd(from));
   (void)proc->CloseFd(to);
   proc->InstallFdAt(to, std::move(file));
-  return Status::Ok();
-}
-
-Status Kernel::FsyncAll() {
-  for (const std::string& mount : vfs_.MountPoints()) {
-    auto fs = vfs_.MountOf(mount);
-    if (fs.ok()) {
-      PASS_RETURN_IF_ERROR(fs->first->Sync());
-    }
-  }
   return Status::Ok();
 }
 

@@ -106,7 +106,6 @@ class Kernel {
   Result<std::pair<Fd, Fd>> Pipe(Pid pid);
   Status Chdir(Pid pid, std::string_view path);
   Status Dup2(Pid pid, Fd from, Fd to);
-  Status FsyncAll();
 
   // Convenience wrappers used by workloads and applications.
   Status WriteFile(Pid pid, std::string_view path, std::string_view data);

@@ -62,11 +62,7 @@ class Process {
   void set_cwd(std::string cwd) { cwd_ = std::move(cwd); }
 
   bool exited() const { return exited_; }
-  int exit_code() const { return exit_code_; }
-  void MarkExited(int code) {
-    exited_ = true;
-    exit_code_ = code;
-  }
+  void MarkExited() { exited_ = true; }
 
   // File descriptor table.
   Fd InstallFd(OpenFileRef file);
@@ -75,7 +71,6 @@ class Process {
   Status CloseFd(Fd fd);
   const std::map<Fd, OpenFileRef>& fds() const { return fds_; }
   void CopyFdsFrom(const Process& other) { fds_ = other.fds_; }
-  void ClearFds() { fds_.clear(); }
 
  private:
   Pid pid_;
@@ -85,7 +80,6 @@ class Process {
   std::vector<std::string> env_;
   std::string cwd_ = "/";
   bool exited_ = false;
-  int exit_code_ = 0;
   Fd next_fd_ = 3;  // 0,1,2 reserved by convention
   std::map<Fd, OpenFileRef> fds_;
 };

@@ -14,14 +14,6 @@ Status Vfs::Mount(std::string_view path, FileSystem* fs) {
   return Status::Ok();
 }
 
-Status Vfs::Unmount(std::string_view path) {
-  std::string norm = NormalizePath(path);
-  if (mounts_.erase(norm) == 0) {
-    return NotFound("not mounted: " + norm);
-  }
-  return Status::Ok();
-}
-
 Result<std::pair<FileSystem*, std::string>> Vfs::MountOf(
     std::string_view path) {
   std::string norm = NormalizePath(path);
@@ -60,14 +52,6 @@ Result<ResolvedParent> Vfs::ResolveParent(std::string_view path) {
   }
   return ResolvedParent{parent.fs, std::move(parent.vnode), std::move(leaf),
                         std::move(norm)};
-}
-
-std::vector<std::string> Vfs::MountPoints() const {
-  std::vector<std::string> out;
-  for (const auto& [path, fs] : mounts_) {
-    out.push_back(path);
-  }
-  return out;
 }
 
 }  // namespace pass::os

@@ -32,7 +32,6 @@ class Vfs {
  public:
   // Mount `fs` at `path` (must not already be mounted). `fs` is borrowed.
   Status Mount(std::string_view path, FileSystem* fs);
-  Status Unmount(std::string_view path);
 
   // Resolve a normalized absolute path to a vnode.
   Result<ResolvedPath> Resolve(std::string_view path);
@@ -43,8 +42,6 @@ class Vfs {
   // The filesystem owning `path` (longest-prefix match) and the residual
   // path inside it.
   Result<std::pair<FileSystem*, std::string>> MountOf(std::string_view path);
-
-  std::vector<std::string> MountPoints() const;
 
  private:
   // Mount point path -> filesystem, ordered so longest prefix wins.

@@ -6,6 +6,12 @@
 // Waldo watches log rotation through inotify; here the simulation calls
 // Poll() periodically, which is the same event model.
 //
+// Waldo is the one consumer of the log. What it ingests is decided by
+// lasagna::TxnFilter (src/lasagna/recovery.h): the entries of committed
+// transactions, in ENDTXN order. A transaction still open when a log closes
+// carries over to the next log, across Poll calls. Waldo never checks an
+// MD5; that check belongs to crash recovery (lasagna::RunRecovery).
+//
 // Waldo runs off the workload's critical path: log *writes* are charged to
 // the workload (they share the disk), but database ingestion happens in the
 // background, so Poll() does not advance the simulated clock.
@@ -14,43 +20,52 @@
 #include <vector>
 
 #include "src/lasagna/lasagna.h"
+#include "src/lasagna/recovery.h"
 #include "src/waldo/provdb.h"
 
 namespace pass::waldo {
 
 struct WaldoStats {
-  uint64_t polls = 0;
-  uint64_t logs_processed = 0;
-  uint64_t entries_ingested = 0;
-  uint64_t txn_markers_skipped = 0;
-  uint64_t orphans_discarded = 0;
-  uint64_t truncated_logs = 0;
+  uint64_t entries_ingested = 0;  // entries of committed transactions
+  // Transactions begun but not yet committed. A crashed PA-NFS client's
+  // transaction stays here; its entries are never ingested.
+  uint64_t open_txns = 0;
+  // What the filter read and dropped over every removed log.
+  lasagna::TxnFilterStats filter;
 };
 
 class Waldo {
  public:
-  explicit Waldo(ProvDb* db) : db_(db) {}
+  // Watch `volume`'s log directory and ingest into `db`.
+  Waldo(ProvDb* db, lasagna::LasagnaFs* volume) : db_(db), volume_(volume) {}
 
-  // Watch a volume's log directory (a Waldo instance can serve several
-  // volumes on one machine).
-  void AddVolume(lasagna::LasagnaFs* volume) { volumes_.push_back(volume); }
-
-  // Process every closed log on every volume (the inotify wake-up).
+  // Ingest every closed log into the database and remove it (the inotify
+  // wake-up).
   Status Poll();
 
-  // Force-rotate the active logs and ingest everything (end of benchmark /
+  // Force-rotate the active log and ingest everything (end of benchmark /
   // clean shutdown).
   Status Drain();
 
+  // Poll in two steps, for a consumer that must put each entry somewhere
+  // durable before the log that holds it may go (the cluster's Sync).
+  // Take reads every closed log and returns the entries it commits; the
+  // logs stay on disk. Remove deletes exactly the logs the last Take read.
+  // A Take not followed by Remove (a crash in between) is forgotten: the
+  // next Take reads the same logs from the same filter state again.
+  Result<std::vector<lasagna::LogEntry>> Take();
+  Status Remove();
+
   ProvDb* db() { return db_; }
-  const WaldoStats& stats() const { return waldo_stats_; }
+  WaldoStats stats() const;
 
  private:
-  Status ProcessLog(lasagna::LasagnaFs* volume, const std::string& path);
-
   ProvDb* db_;
-  std::vector<lasagna::LasagnaFs*> volumes_;
-  WaldoStats waldo_stats_;
+  lasagna::LasagnaFs* volume_;
+  // The filter as of the last removed log, and its copy advanced by Take.
+  lasagna::TxnFilter filter_;
+  lasagna::TxnFilter taken_;
+  std::vector<std::string> taken_logs_;
 };
 
 }  // namespace pass::waldo

@@ -58,8 +58,7 @@ Machine::Machine(MachineOptions options)
   pass_->AttachVolume(volume_.get());
 
   db_ = std::make_unique<waldo::ProvDb>();
-  waldo_ = std::make_unique<waldo::Waldo>(db_.get());
-  waldo_->AddVolume(volume_.get());
+  waldo_ = std::make_unique<waldo::Waldo>(db_.get(), volume_.get());
 }
 
 os::FileSystem* Machine::rootfs() {

@@ -478,6 +478,59 @@ TEST(ClusterTest, SingleShardClusterNeedsNoNetwork) {
   EXPECT_EQ(cluster.network().stats().round_trips, 0u);
 }
 
+// The same operations on `m`: a file written with disclosed lineage and then
+// renamed (Mercurial's temp-file pattern), and a file written with lineage
+// and then unlinked. Returns the writing process, the source and the two
+// written objects.
+std::vector<core::ObjectRef> WriteRenameUnlink(workloads::Machine* m) {
+  os::Pid pid = m->Spawn("writer");
+  EXPECT_TRUE(m->kernel().WriteFile(pid, "/src", "source").ok());
+  core::ObjectRef source = *m->pass()->RefOfPath("/src");
+  auto write = [&](const std::string& path) {
+    EXPECT_TRUE(m->kernel().WriteFile(pid, path, "data").ok());
+    core::ObjectRef ref = *m->pass()->RefOfPath(path);
+    EXPECT_TRUE(
+        m->pass()->DiscloseRecords(pid, ref, {core::Record::Input(source)})
+            .ok());
+    return *m->pass()->RefOfPath(path);
+  };
+  core::ObjectRef renamed = write("/out.tmp");
+  EXPECT_TRUE(m->kernel().Rename(pid, "/out.tmp", "/out").ok());
+  core::ObjectRef unlinked = write("/gone");
+  EXPECT_TRUE(m->kernel().Unlink(pid, "/gone").ok());
+  return {m->pass()->RefOfPid(pid), source, renamed, unlinked};
+}
+
+// Sync consumes a shard's log the way Waldo does on a standalone machine:
+// writes to files renamed or deleted before the Sync keep their lineage,
+// both the disclosed INPUT edge and the one from the writing process.
+TEST(ClusterTest, SyncKeepsLineageOfRenamedAndDeletedFiles) {
+  ClusterCoordinator cluster(SmallCluster(1));
+  std::vector<core::ObjectRef> written =
+      WriteRenameUnlink(&cluster.machine(0));
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  workloads::MachineOptions options;
+  options.with_pass = true;
+  workloads::Machine standalone(options);
+  standalone.Spawn("clusterd");  // the cluster's resident worker
+  WriteRenameUnlink(&standalone);
+  ASSERT_TRUE(standalone.waldo()->Drain().ok());
+
+  const waldo::ProvDb& db = cluster.shard_db(0);
+  for (size_t i = 2; i < written.size(); ++i) {
+    std::set<core::PnodeId> inputs;
+    for (const core::ObjectRef& input : db.Inputs(written[i])) {
+      inputs.insert(input.pnode);
+    }
+    EXPECT_EQ(inputs, (std::set<core::PnodeId>{written[0].pnode,
+                                                written[1].pnode}))
+        << "object " << i;
+  }
+  EXPECT_EQ(db.stats().records, standalone.db()->stats().records);
+  EXPECT_EQ(db.stats().edges, standalone.db()->stats().edges);
+}
+
 // Frontier publication reports exactly the pnodes a write keyed rows under
 // — the new file (its attributes and forward edges) and each ancestor (its
 // reverse row) — each once, from its owner. The chain's other pnodes share

@@ -114,6 +114,55 @@ TEST_F(CoreSystemTest, ReadThenWriteLinksInputToOutput) {
   EXPECT_TRUE(FileDescendsFrom("/output.dat", in_pnodes[0]));
 }
 
+TEST_F(CoreSystemTest, ReadvLinksInputToOutput) {
+  os::Pid setup = machine_.Spawn("setup");
+  ASSERT_TRUE(machine_.kernel().WriteFile(setup, "/v.dat", "abcdef").ok());
+
+  os::Pid worker = machine_.Spawn("worker");
+  auto fd = machine_.kernel().Open(worker, "/v.dat", os::kOpenRead);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::string> pieces;
+  auto n = machine_.kernel().Readv(worker, *fd, {2, 4}, &pieces);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 6u);
+  EXPECT_EQ(pieces, (std::vector<std::string>{"ab", "cdef"}));
+  ASSERT_TRUE(machine_.kernel().Close(worker, *fd).ok());
+  ASSERT_TRUE(machine_.kernel().WriteFile(worker, "/v.out", "x").ok());
+  ASSERT_TRUE(machine_.waldo()->Drain().ok());
+
+  auto in_pnodes = machine_.db()->PnodesByName("/v.dat");
+  ASSERT_EQ(in_pnodes.size(), 1u);
+  EXPECT_TRUE(FileDescendsFrom("/v.out", in_pnodes[0]));
+}
+
+TEST_F(CoreSystemTest, MmapRecordsTheProcessAsInputOnlyWhenWritable) {
+  // A read-only mapping makes the file an input of the process; a writable
+  // one also makes the process an input of the file.
+  os::Pid setup = machine_.Spawn("setup");
+  for (const char* path : {"/lib.so", "/shared"}) {
+    ASSERT_TRUE(machine_.kernel().WriteFile(setup, path, "bytes").ok());
+  }
+  os::Pid mapper = machine_.Spawn("mapper");
+  auto lib = machine_.kernel().Open(mapper, "/lib.so", os::kOpenRead);
+  ASSERT_TRUE(lib.ok());
+  ASSERT_TRUE(machine_.kernel().Mmap(mapper, *lib, /*writable=*/false).ok());
+  auto shared = machine_.kernel().Open(mapper, "/shared",
+                                       os::kOpenRead | os::kOpenWrite);
+  ASSERT_TRUE(shared.ok());
+  ASSERT_TRUE(machine_.kernel().Mmap(mapper, *shared, /*writable=*/true).ok());
+  // The process's own inputs reach the database with its next write.
+  ASSERT_TRUE(machine_.kernel().WriteFile(mapper, "/m.out", "x").ok());
+  ASSERT_TRUE(machine_.waldo()->Drain().ok());
+
+  EXPECT_EQ(machine_.pass()->observer_stats().mmaps, 2u);
+  PnodeId process = machine_.pass()->RefOfPid(mapper).pnode;
+  auto lib_pnodes = machine_.db()->PnodesByName("/lib.so");
+  ASSERT_EQ(lib_pnodes.size(), 1u);
+  EXPECT_TRUE(FileDescendsFrom("/shared", process));
+  EXPECT_FALSE(FileDescendsFrom("/lib.so", process));
+  EXPECT_TRUE(FileDescendsFrom("/m.out", lib_pnodes[0]));
+}
+
 TEST_F(CoreSystemTest, PipelineFlowsThroughPipe) {
   // producer | consumer > /sink: the sink must descend from the producer
   // through the pipe object.

@@ -254,7 +254,7 @@ TEST_F(LasagnaTest, CleanRecoveryFindsEverythingConsistent) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->orphaned_txns, 0u);
   EXPECT_EQ(report->inconsistent_extents, 0u);
-  EXPECT_GT(report->complete_txns, 0u);
+  EXPECT_GT(report->filter.committed_txns, 0u);
   EXPECT_GT(report->recovered_entries.size(), 0u);
 }
 
@@ -356,7 +356,7 @@ TEST_F(LasagnaTest, InconsistentPathReportedOnceAcrossFailingExtents) {
 
   auto report = RunRecovery(&lower_);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->complete_txns, 2u);
+  EXPECT_EQ(report->filter.committed_txns, 2u);
   EXPECT_EQ(report->inconsistent_extents, 2u);
   ASSERT_EQ(report->inconsistent_paths.size(), 1u);
   EXPECT_EQ(report->inconsistent_paths[0], "/f");

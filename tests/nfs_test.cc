@@ -199,17 +199,21 @@ TEST_F(NfsTest, TwoClientsCanBranchVersions) {
 
 TEST_F(NfsTest, ClientCrashLeavesIdentifiableOrphan) {
   // A client begins a chunked transaction and dies before the commit. The
-  // provenance is already on the server log (WAP) but must be discarded as
-  // orphaned by both Waldo and crash recovery.
-  auto txn = server_machine_.volume()->BeginExternalTxn();
+  // provenance is already on the server log (WAP). Crash recovery discards
+  // it as orphaned; Waldo keeps the transaction open and never ingests it.
+  lasagna::LasagnaFs* volume = server_machine_.volume();
+  auto txn = volume->BeginExternalTxn();
   ASSERT_TRUE(txn.ok());
   core::Bundle chunk{core::BundleEntry{
       {9999, 0}, {core::Record::Name("/mnt/nfs/never-committed")}}};
-  ASSERT_TRUE(
-      server_machine_.volume()->AppendExternalTxn(*txn, chunk).ok());
-  // No commit: client crashed. Drain Waldo.
+  ASSERT_TRUE(volume->AppendExternalTxn(*txn, chunk).ok());
+  // No commit: client crashed.
+  ASSERT_TRUE(volume->ForceRotate().ok());
+  auto report = lasagna::RunRecovery(&server_machine_.basefs());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->orphaned_txns, 1u);
   ASSERT_TRUE(server_machine_.waldo()->Drain().ok());
-  EXPECT_GT(server_machine_.waldo()->stats().orphans_discarded, 0u);
+  EXPECT_EQ(server_machine_.waldo()->stats().open_txns, 1u);
   EXPECT_TRUE(
       server_machine_.db()->PnodesByName("/mnt/nfs/never-committed").empty());
 }
@@ -290,7 +294,7 @@ TEST_F(NfsTest, CrashRecoveryOnServerLog) {
   auto report = lasagna::RunRecovery(&server_machine_.basefs());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->inconsistent_extents, 0u);
-  EXPECT_GT(report->complete_txns, 0u);
+  EXPECT_GT(report->filter.committed_txns, 0u);
 }
 
 // An untrusted pass_prov request whose bundle claims 2^32-1 entries gets an

@@ -447,9 +447,7 @@ class WaldoTest : public ::testing::Test {
                fs::MemFsOptions{.charge_disk = false}),
         allocator_(0),
         volume_(&env_, &lower_, &allocator_, SmallLogs()),
-        waldo_(&db_) {
-    waldo_.AddVolume(&volume_);
-  }
+        waldo_(&db_, &volume_) {}
 
   static lasagna::LasagnaOptions SmallLogs() {
     lasagna::LasagnaOptions options;
@@ -486,29 +484,123 @@ TEST_F(WaldoTest, PollConsumesOnlyClosedLogs) {
   auto file = *root->Create("out", os::VnodeType::kFile);
   ASSERT_TRUE(file->Write(0, "x").ok());  // tiny: log stays open
   ASSERT_TRUE(waldo_.Poll().ok());
-  EXPECT_EQ(waldo_.stats().logs_processed, 0u);
+  EXPECT_EQ(waldo_.stats().filter.logs, 0u);
   ASSERT_TRUE(volume_.ForceRotate().ok());
   ASSERT_TRUE(waldo_.Poll().ok());
-  EXPECT_EQ(waldo_.stats().logs_processed, 1u);
+  EXPECT_EQ(waldo_.stats().filter.logs, 1u);
+}
+
+core::Record EndOf(uint64_t txn_id) {
+  lasagna::TxnDescriptor descriptor;
+  descriptor.txn_id = txn_id;
+  return core::Record::Of(core::Attr::kEndTxn,
+                          lasagna::EncodeTxnDescriptor(descriptor));
 }
 
 TEST_F(WaldoTest, OrphanedTransactionsDiscarded) {
-  // Hand-craft a log with a BEGINTXN that never commits (crashed client).
-  std::string log;
-  lasagna::EncodeLogEntry(
-      &log, {{1, 0}, core::Record::Of(core::Attr::kBeginTxn, int64_t{99})});
-  lasagna::EncodeLogEntry(&log, {{1, 0}, core::Record::Name("/never")});
-  ASSERT_TRUE(lower_.WriteFileRaw("/.pass/log.crafted", log).ok());
-  // Route it through ProcessLog by pretending it is a closed log: place a
-  // fresh volume over the same lower fs.
-  ASSERT_TRUE(waldo_.Poll().ok());  // crafted log not in ClosedLogPaths...
-  // ...so process it explicitly through a drain cycle after rotation
-  // bookkeeping: craft entries via the public API instead.
-  auto root = volume_.root();
-  auto file = *root->Create("f", os::VnodeType::kFile);
+  // A real write opens a log; crafted frames appended to it reach Waldo
+  // through the transaction filter like any other entry of a closed log.
+  auto file = *volume_.root()->Create("f", os::VnodeType::kFile);
   ASSERT_TRUE(file->Write(0, "y").ok());
+  ASSERT_EQ(volume_.log_chains().size(), 1u);
+  const std::string path = volume_.log_chains().begin()->first;
+  std::string log = *lower_.ReadFileRaw(path);
+  auto frame = [&](core::Record record) {
+    lasagna::EncodeLogEntry(&log, {{1, 0}, std::move(record)});
+  };
+  auto begin = [](int64_t txn_id) {
+    return core::Record::Of(core::Attr::kBeginTxn, txn_id);
+  };
+  frame(core::Record::Name("/stray"));  // outside any transaction
+  frame(EndOf(97));                     // ENDTXN without BEGINTXN
+  frame(begin(98));                     // ENDTXN that does not decode
+  frame(core::Record::Name("/undecodable"));
+  frame(core::Record::Of(core::Attr::kEndTxn, std::string("garbage")));
+  frame(begin(99));                     // BEGINTXN without ENDTXN
+  frame(core::Record::Name("/never"));
+  ASSERT_TRUE(lower_.WriteFileRaw(path, log).ok());
   ASSERT_TRUE(waldo_.Drain().ok());
-  EXPECT_EQ(db_.PnodesByName("/never").size(), 0u);
+
+  for (const char* name : {"/stray", "/undecodable", "/never"}) {
+    EXPECT_TRUE(db_.PnodesByName(name).empty()) << name;
+  }
+  WaldoStats stats = waldo_.stats();
+  EXPECT_EQ(stats.filter.strays, 1u);
+  EXPECT_EQ(stats.filter.unmatched_ends, 1u);
+  EXPECT_EQ(stats.filter.undecodable_ends, 1u);
+  EXPECT_EQ(stats.filter.committed_txns, 1u);  // the real write
+  EXPECT_EQ(stats.open_txns, 2u);              // 98 and 99
+  EXPECT_EQ(stats.entries_ingested, 0u);
+
+  // The filter goes on: a later transaction commits on its own, and the
+  // orphans it passes stay open.
+  core::Bundle bundle{
+      core::BundleEntry{{file->pnode(), 0}, {core::Record::Name("/after")}}};
+  ASSERT_TRUE(file->PassWrite(0, "z", bundle).ok());
+  ASSERT_TRUE(waldo_.Drain().ok());
+  EXPECT_EQ(db_.PnodesByName("/after").size(), 1u);
+  EXPECT_TRUE(db_.PnodesByName("/never").empty());
+  EXPECT_EQ(waldo_.stats().open_txns, 2u);
+  EXPECT_EQ(waldo_.stats().entries_ingested, 1u);
+}
+
+// A PA-NFS chunked write logs its BEGINTXN and chunks as they arrive, so a
+// rotation can close the log between them and the ENDTXN. The transaction
+// carries to the next log, whether the log closed on its own or a Drain
+// consumed it first.
+class SplitTxnTest : public WaldoTest {
+ protected:
+  void BeginAndAppend() {
+    auto txn = volume_.BeginExternalTxn();
+    ASSERT_TRUE(txn.ok());
+    txn_ = *txn;
+    core::Bundle chunk{
+        core::BundleEntry{{4242, 0}, {core::Record::Name("/split")}}};
+    ASSERT_TRUE(volume_.AppendExternalTxn(txn_, chunk).ok());
+  }
+  void CommitAndDrain() {
+    ASSERT_TRUE(volume_.CommitExternalTxn(txn_, nullptr, 0, "").ok());
+    ASSERT_TRUE(waldo_.Drain().ok());
+    EXPECT_EQ(db_.PnodesByName("/split").size(), 1u);
+    EXPECT_EQ(waldo_.stats().open_txns, 0u);
+    EXPECT_EQ(waldo_.stats().entries_ingested, 1u);
+  }
+  uint64_t txn_ = 0;
+};
+
+TEST_F(SplitTxnTest, TransactionSplitByRotationCommits) {
+  BeginAndAppend();
+  ASSERT_TRUE(volume_.ForceRotate().ok());
+  CommitAndDrain();
+  EXPECT_EQ(waldo_.stats().filter.logs, 2u);
+}
+
+TEST_F(SplitTxnTest, TransactionSplitAcrossDrainsCommits) {
+  BeginAndAppend();
+  ASSERT_TRUE(waldo_.Drain().ok());
+  EXPECT_TRUE(db_.PnodesByName("/split").empty());
+  EXPECT_EQ(waldo_.stats().open_txns, 1u);
+  CommitAndDrain();
+}
+
+TEST_F(SplitTxnTest, TakeWithoutRemoveIsReadAgain) {
+  // A consumer that dies between Take and Remove (a cluster crash mid-Sync)
+  // reads the same logs from the same filter state on its next Take.
+  BeginAndAppend();
+  ASSERT_TRUE(volume_.ForceRotate().ok());
+  ASSERT_TRUE(waldo_.Take().ok());
+  ASSERT_TRUE(waldo_.Remove().ok());
+  ASSERT_TRUE(volume_.CommitExternalTxn(txn_, nullptr, 0, "").ok());
+  ASSERT_TRUE(volume_.ForceRotate().ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto entries = waldo_.Take();
+    ASSERT_TRUE(entries.ok());
+    ASSERT_EQ(entries->size(), 1u) << "attempt " << attempt;
+    EXPECT_EQ((*entries)[0].record, core::Record::Name("/split"));
+  }
+  ASSERT_TRUE(waldo_.Remove().ok());
+  EXPECT_EQ(waldo_.stats().entries_ingested, 1u);
+  EXPECT_TRUE(volume_.ClosedLogPaths().empty());
 }
 
 TEST_F(WaldoTest, MultipleRotationsAllIngested) {
@@ -521,7 +613,7 @@ TEST_F(WaldoTest, MultipleRotationsAllIngested) {
     ASSERT_TRUE(file->PassWrite(i, "z", bundle).ok());
   }
   ASSERT_TRUE(waldo_.Drain().ok());
-  EXPECT_GT(waldo_.stats().logs_processed, 2u);
+  EXPECT_GT(waldo_.stats().filter.logs, 2u);
   EXPECT_GE(db_.RecordsOf({file->pnode(), 0}).size(), 20u);
 }
 
