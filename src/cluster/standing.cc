@@ -336,8 +336,12 @@ Result<std::vector<StandingNotification>> StandingQueryTier::Refresh() {
       PASS_RETURN_IF_ERROR(EvalAndMerge(query.get(), nullptr, /*seed=*/false));
       continue;
     }
+    // The affected-root walk is part of the incremental cost: its RPCs
+    // count with the evaluation's.
+    uint64_t walk_rpcs_before = source_.stats().remote_ops;
     PASS_ASSIGN_OR_RETURN(std::set<core::PnodeId> roots,
                           AffectedRoots(*query, delta.entries));
+    stats_.eval_rpcs += source_.stats().remote_ops - walk_rpcs_before;
     stats_.affected_roots += roots.size();
     ++stats_.incremental_evals;
     PASS_RETURN_IF_ERROR(EvalAndMerge(query.get(), &roots, /*seed=*/false));

@@ -133,6 +133,8 @@ struct StandingStats {
   // Result rows read from the source during steady-state refreshes (the
   // incremental cost fig11 gates against a naive full re-run)...
   uint64_t rows_touched = 0;
+  // Remote RPC exchanges of those refreshes: the affected-root walks plus
+  // the re-evaluations.
   uint64_t eval_rpcs = 0;
   // ...vs the one-time cost of seeding each query's first evaluation.
   uint64_t seed_rows_touched = 0;
