@@ -2,12 +2,16 @@
 // the portal result cache.
 //
 // Sweeps shard count x query depth x portal cache size over a cross-shard
-// lineage chain and reports, per configuration, the query's RPC count,
-// remote/local bytes, and cache hit rate, asserting federated == merged
-// everywhere. Each configuration also measures a *baseline* run — per-node
-// routing with the cache disabled, exactly the pre-frontier-shipping code
-// path — and the deep configurations gate the RPC-reduction ratio, so a
-// regression in either mechanism fails the binary (CI runs it).
+// lineage chain and reports, per configuration, the RPC count, remote/local
+// bytes, and cache hit rate of every file's ancestry closure, asserting
+// federated == merged everywhere. Each configuration also measures a
+// *baseline* run — per-node routing with the cache disabled, exactly the
+// pre-frontier-shipping code path — and the deep configurations gate the
+// RPC-reduction ratio, so a regression in either mechanism fails the binary
+// (CI runs it). The chain tail's own closure (one root, picked by name) is
+// reported per (shards, depth) against the same baseline, ungated: the
+// evaluator filters the root before walking, so there is no shared
+// ancestry for the cache to absorb.
 //
 // Usage: fig6_query_cache [max_depth]   (default 96; CI uses the default)
 
@@ -34,8 +38,9 @@ using pass::cluster::FederatedSource;
 using pass::cluster::MergedRows;
 using pass::workloads::WriteLineageChain;
 
-// Gate: at depth >= 48 on >= 4 shards, frontier-shipping + a full cache must
-// cut query RPCs at least this factor below the per-node, cache-off baseline.
+// Gate: for every file's closure at depth >= 48 on >= 4 shards,
+// frontier-shipping + a full cache must cut query RPCs at least this factor
+// below the per-node, cache-off baseline.
 constexpr double kRpcReductionGate = 5.0;
 
 // Churn-phase gate: with steady ingest into a non-portal shard between query
@@ -102,13 +107,19 @@ struct RunResult {
   uint64_t warm_hits = 0;
 };
 
+// A query and its merged single-database answer.
+struct Probe {
+  std::string text;
+  std::vector<std::string> want;  // MergedRows(text)
+};
+
 // One cluster per (shards, depth): a lineage chain hopping shards
-// round-robin, synced, then queried for the full ancestry closure of the
-// chain tail — the same query shape fig3 uses, whose FROM binding re-walks
-// shared ancestry from every file and so rewards the portal cache.
-// `spread` stripes the chain over only the first `spread` shards (default
-// all): the churn phase keeps the last shard chain-free so ingest there is
-// pure foreign churn to every cached entry.
+// round-robin, synced, then queried two ways. `closure` walks every file's
+// ancestry, re-walking shared ancestry from every root, which rewards the
+// portal cache. `tail` is the ancestry of the chain tail alone, the query
+// shape fig3 uses. `spread` stripes the chain over only the first `spread`
+// shards (default all): the churn phase keeps the last shard chain-free so
+// ingest there is pure foreign churn to every cached entry.
 struct Fixture {
   explicit Fixture(int shards, int depth, int spread = 0) {
     if (spread == 0) {
@@ -121,17 +132,21 @@ struct Fixture {
                                  std::string(256, 'd'))
                    .ok());
     PASS_CHECK(cluster->Sync().ok());
-    query =
+    closure = Merged(
+        "select Ancestor from Provenance.file as F F.input* as Ancestor");
+    tail = Merged(
         "select Ancestor from Provenance.file as F F.input* as Ancestor "
         "where F.name = \"/f" +
-        std::to_string(depth - 1) + "\"";
-
-    auto merged_rows = MergedRows(*cluster, query);
-    PASS_CHECK(merged_rows.ok());
-    want = std::move(*merged_rows);
+        std::to_string(depth - 1) + "\"");
   }
 
-  RunResult Query(size_t cache_bytes, bool per_node) {
+  Probe Merged(std::string text) {
+    auto merged_rows = MergedRows(*cluster, text);
+    PASS_CHECK(merged_rows.ok());
+    return Probe{std::move(text), std::move(*merged_rows)};
+  }
+
+  RunResult Query(const Probe& probe, size_t cache_bytes, bool per_node) {
     FederatedSource federated = cluster->Source(/*portal_shard=*/0,
                                                 cache_bytes);
     PerNodeAdapter adapter(&federated);
@@ -139,7 +154,7 @@ struct Fixture {
                                  ? static_cast<pass::pql::GraphSource*>(
                                        &adapter)
                                  : &federated);
-    auto result = engine.Run(query);
+    auto result = engine.Run(probe.text);
     PASS_CHECK(result.ok());
     RunResult out;
     out.rpc = federated.stats().remote_ops;
@@ -150,12 +165,12 @@ struct Fixture {
     out.misses = federated.stats().cache_misses;
     out.evictions = federated.stats().cache_evictions;
     out.rows = result->rows.size();
-    out.matches_merged = result->RowKeys() == want;
+    out.matches_merged = result->RowKeys() == probe.want;
     // Phase boundary: zero the counters (the cache keeps its contents) and
     // run the identical query again — the warm numbers are the second
     // pass's alone, not a delta against cumulative totals.
     federated.ResetStats();
-    auto warm = engine.Run(query);
+    auto warm = engine.Run(probe.text);
     PASS_CHECK(warm.ok());
     PASS_CHECK(warm->RowKeys() == result->RowKeys());
     out.warm_rpc = federated.stats().remote_ops;
@@ -164,8 +179,8 @@ struct Fixture {
   }
 
   std::unique_ptr<ClusterCoordinator> cluster;
-  std::string query;
-  std::vector<std::string> want;  // MergedRows(query)
+  Probe closure;
+  Probe tail;
 };
 
 struct ChurnResult {
@@ -215,11 +230,12 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
   pass::pql::Engine flush_engine(&flush);
 
   ChurnResult out;
-  auto warm = fine_engine.Run(fixture.query);
+  const Probe& probe = fixture.tail;
+  auto warm = fine_engine.Run(probe.text);
   PASS_CHECK(warm.ok());
-  PASS_CHECK(warm->RowKeys() == fixture.want);
+  PASS_CHECK(warm->RowKeys() == probe.want);
   out.entries_total = fine.stats().cache_misses - fine.stats().cache_evictions;
-  PASS_CHECK(flush_engine.Run(fixture.query).ok());
+  PASS_CHECK(flush_engine.Run(probe.text).ok());
   fine.ResetStats();
   flush.ResetStats();
 
@@ -237,12 +253,12 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
                      .ok());
     }
     PASS_CHECK(fixture.cluster->Sync().ok());
-    auto fine_result = fine_engine.Run(fixture.query);
-    auto flush_result = flush_engine.Run(fixture.query);
+    auto fine_result = fine_engine.Run(probe.text);
+    auto flush_result = flush_engine.Run(probe.text);
     PASS_CHECK(fine_result.ok() && flush_result.ok());
     out.matches_merged = out.matches_merged &&
-                         fine_result->RowKeys() == fixture.want &&
-                         flush_result->RowKeys() == fixture.want;
+                         fine_result->RowKeys() == probe.want &&
+                         flush_result->RowKeys() == probe.want;
   }
   out.fine_hits = fine.stats().cache_hits;
   out.fine_misses = fine.stats().cache_misses;
@@ -262,8 +278,8 @@ int main(int argc, char** argv) {
 
   std::printf("Figure 6: federated query frontier-shipping + portal result "
               "cache\n");
-  std::printf("(ancestry closure over a cross-shard lineage chain; baseline "
-              "= per-node routing, cache off)\n\n");
+  std::printf("(every file's ancestry closure over a cross-shard lineage "
+              "chain; baseline = per-node routing, cache off)\n\n");
   std::printf("%6s %6s %9s | %9s %9s %9s %9s %7s %6s | %8s\n", "shards",
               "depth", "cache-KB", "base-RPC", "RPC", "rem-bytes", "loc-bytes",
               "hit%", "evict", "ratio");
@@ -272,6 +288,7 @@ int main(int argc, char** argv) {
       "csv,fig6,shards,depth,cache_kb,baseline_rpc,query_rpc,req_bytes,"
       "resp_bytes,local_bytes,hits,misses,evictions,hit_rate,ratio,rows,"
       "match,warm_rpc,warm_hits\n"
+      "csv,fig6tail,shards,depth,baseline_rpc,query_rpc,ratio,rows,match\n"
       "csv,fig6churn,shards,depth,rounds,entries_total,fine_hits,fine_misses,"
       "fine_invalidated,fine_full_flushes,flush_hits,flush_misses,"
       "flush_full_flushes,miss_ratio,match\n";
@@ -285,10 +302,12 @@ int main(int argc, char** argv) {
       }
       Fixture fixture(shards, depth);
       // Baseline once per (shards, depth): per-node routing, cache off.
-      RunResult baseline = fixture.Query(/*cache_bytes=*/0, /*per_node=*/true);
+      RunResult baseline = fixture.Query(fixture.closure, /*cache_bytes=*/0,
+                                         /*per_node=*/true);
       PASS_CHECK(baseline.matches_merged);
       for (size_t cache_bytes : kCacheBytes) {
-        RunResult r = fixture.Query(cache_bytes, /*per_node=*/false);
+        RunResult r =
+            fixture.Query(fixture.closure, cache_bytes, /*per_node=*/false);
         PASS_CHECK(r.matches_merged);
         PASS_CHECK(r.rows == baseline.rows);
         double hit_rate = r.hits + r.misses == 0
@@ -326,6 +345,27 @@ int main(int argc, char** argv) {
         if (shards >= 4 && depth >= 48 && cache_bytes >= (1u << 20)) {
           PASS_CHECK(ratio >= kRpcReductionGate);
         }
+      }
+      // The chain tail's closure alone, full cache vs the same baseline.
+      {
+        RunResult base = fixture.Query(fixture.tail, /*cache_bytes=*/0,
+                                       /*per_node=*/true);
+        RunResult r = fixture.Query(fixture.tail, /*cache_bytes=*/1u << 20,
+                                    /*per_node=*/false);
+        PASS_CHECK(base.matches_merged && r.matches_merged);
+        double ratio = r.rpc == 0 ? 0.0
+                                  : static_cast<double>(base.rpc) /
+                                        static_cast<double>(r.rpc);
+        std::printf("%6d %6d tail: base-RPC=%llu RPC=%llu ratio=%.1fx\n",
+                    shards, depth, (unsigned long long)base.rpc,
+                    (unsigned long long)r.rpc, ratio);
+        char line[160];
+        std::snprintf(line, sizeof(line),
+                      "csv,fig6tail,%d,%d,%llu,%llu,%.2f,%zu,%s\n", shards,
+                      depth, (unsigned long long)base.rpc,
+                      (unsigned long long)r.rpc, ratio, r.rows,
+                      r.matches_merged ? "yes" : "no");
+        csv += line;
       }
       // Churn phase (own fixture: the last shard stays chain-free). Skipped
       // at 2 shards, where a chain off the churn shard would be all-local.

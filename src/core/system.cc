@@ -303,6 +303,11 @@ void PassSystem::OnMmap(os::Process& proc, os::OpenFile& file, bool writable) {
   if (writable) {
     analyzer_.AddDependency(fstate.pnode, pstate.pnode, router,
                             FreezeFnFor(fstate));
+    if (fstate.persistent) {
+      // As with a write: the process's cached provenance enters the file's
+      // ancestry, so it goes to the file's volume now (cf. SyncObject).
+      distributor_.DrainClosure(pstate.pnode, &pending_[fstate.volume]);
+    }
   }
   ChargeRecordCpu(writable ? 2 : 1);
   FlushPending();

@@ -11,6 +11,34 @@ namespace {
 
 using Env = std::map<std::string, Node>;
 
+// Splits `expr` into its top-level `and` conjuncts, left to right.
+void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
+  if (expr.kind == Expr::Kind::kBinary && expr.op == BinOp::kAnd) {
+    SplitConjuncts(*expr.lhs, out);
+    SplitConjuncts(*expr.rhs, out);
+  } else {
+    out->push_back(&expr);
+  }
+}
+
+// Adds the variable-rooted paths `expr` uses to `paths`, outside subqueries.
+// Returns false if `expr` holds a subquery.
+bool CollectPaths(const Expr& expr, std::vector<const PathExpr*>* paths) {
+  if (expr.subquery != nullptr) {
+    return false;
+  }
+  if (expr.kind == Expr::Kind::kPath && !expr.path.from_provenance) {
+    paths->push_back(&expr.path);
+  }
+  bool plain = true;
+  for (const Expr* child : {expr.lhs.get(), expr.rhs.get()}) {
+    if (child != nullptr) {
+      plain = CollectPaths(*child, paths) && plain;
+    }
+  }
+  return plain;
+}
+
 class Evaluator {
  public:
   Evaluator(const GraphSource* source, const QueryOptions& options)
@@ -33,11 +61,25 @@ class Evaluator {
   Result<ValueSet> EvalExpr(const Expr& expr, const Env& env);
   Result<bool> Truthy(const Expr& expr, const Env& env);
 
+  // Makes `attr` of every node memoised, fetching the nodes not yet looked
+  // up in one batched call.
+  void Resolve(const std::string& attr, std::vector<Node> nodes);
+  // Resolves every `Var.attr` path `exprs` use over the nodes `envs` bind:
+  // one AttributeMany per attribute.
+  void Prefetch(const std::vector<Env>& envs,
+                const std::vector<const Expr*>& exprs);
+  // Keeps the bindings every conjunct holds for, in order.
+  Result<std::vector<Env>> Filter(std::vector<Env> envs,
+                                  const std::vector<const Expr*>& conjuncts);
+
   static bool Compare(const Value& a, const Value& b, BinOp op);
 
   const GraphSource* source_;
   const QueryOptions& options_;
   const EvalLimits& limits_;
+  // Attribute values looked up during this evaluation, by attribute, then
+  // node (normalized).
+  std::map<std::string, std::map<Node, ValueSet>> attributes_;
 };
 
 bool SetTruthy(const ValueSet& values) {
@@ -173,11 +215,75 @@ Result<ValueSet> Evaluator::PathValues(const PathExpr& path, const Env& env) {
     }
     return out;
   }
-  for (const ValueSet& values : source_->AttributeMany(nodes, attr)) {
+  Resolve(attr, nodes);
+  const std::map<Node, ValueSet>& known = attributes_[attr];
+  for (const Node& node : nodes) {
+    const ValueSet& values = known.at(node);
     out.insert(out.end(), values.begin(), values.end());
   }
   Normalize(&out);
   return out;
+}
+
+void Evaluator::Resolve(const std::string& attr, std::vector<Node> nodes) {
+  std::map<Node, ValueSet>& known = attributes_[attr];
+  std::erase_if(nodes, [&](const Node& node) { return known.contains(node); });
+  if (nodes.empty()) {
+    return;
+  }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  std::vector<ValueSet> values = source_->AttributeMany(nodes, attr);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    Normalize(&values[i]);
+    known.emplace(nodes[i], std::move(values[i]));
+  }
+}
+
+void Evaluator::Prefetch(const std::vector<Env>& envs,
+                         const std::vector<const Expr*>& exprs) {
+  std::vector<const PathExpr*> paths;
+  for (const Expr* expr : exprs) {
+    CollectPaths(*expr, &paths);
+  }
+  std::map<std::string, std::vector<Node>> wanted;
+  for (const PathExpr* path : paths) {
+    if (path->steps.size() != 1 || source_->IsLink(path->steps[0].name)) {
+      continue;
+    }
+    std::vector<Node>& nodes = wanted[path->steps[0].name];
+    for (const Env& env : envs) {
+      auto it = env.find(path->variable);
+      if (it != env.end()) {
+        nodes.push_back(it->second);
+      }
+    }
+  }
+  for (auto& [attr, nodes] : wanted) {
+    Resolve(attr, std::move(nodes));
+  }
+}
+
+Result<std::vector<Env>> Evaluator::Filter(
+    std::vector<Env> envs, const std::vector<const Expr*>& conjuncts) {
+  if (conjuncts.empty()) {
+    return envs;
+  }
+  Prefetch(envs, conjuncts);
+  std::vector<Env> kept;
+  for (Env& env : envs) {
+    bool keep = true;
+    for (const Expr* conjunct : conjuncts) {
+      PASS_ASSIGN_OR_RETURN(keep, Truthy(*conjunct, env));
+      if (!keep) {
+        break;
+      }
+    }
+    if (keep) {
+      kept.push_back(std::move(env));
+    }
+  }
+  return kept;
 }
 
 Result<bool> Evaluator::Truthy(const Expr& expr, const Env& env) {
@@ -294,9 +400,39 @@ Result<ValueSet> Evaluator::EvalExpr(const Expr& expr, const Env& env) {
 
 Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
                                          bool top_level) {
-  // Build binding tuples from the FROM list.
-  std::vector<Env> envs{outer};
-  for (const FromItem& item : query.froms) {
+  // Place each top-level `where` conjunct at the binding level after which
+  // it can run: level 0 holds the outer bindings, level i + 1 follows FROM
+  // item i. A conjunct runs once the last variable it names is bound; one
+  // that holds a subquery or names an unbound variable runs after the last
+  // FROM item.
+  const size_t last = query.froms.size();
+  std::map<std::string, size_t> level_of;
+  for (const auto& [variable, node] : outer) {
+    level_of[variable] = 0;
+  }
+  for (size_t i = 0; i < last; ++i) {
+    level_of[query.froms[i].variable] = i + 1;
+  }
+  std::vector<std::vector<const Expr*>> conjuncts(last + 1);
+  if (query.where != nullptr) {
+    std::vector<const Expr*> split;
+    SplitConjuncts(*query.where, &split);
+    for (const Expr* conjunct : split) {
+      std::vector<const PathExpr*> paths;
+      size_t level = CollectPaths(*conjunct, &paths) ? 0 : last;
+      for (const PathExpr* path : paths) {
+        auto it = level_of.find(path->variable);
+        level = std::max(level, it == level_of.end() ? last : it->second);
+      }
+      conjuncts[level].push_back(conjunct);
+    }
+  }
+
+  // Build binding tuples from the FROM list, filtering each level by its
+  // conjuncts before the next level expands; survivors keep their order.
+  PASS_ASSIGN_OR_RETURN(std::vector<Env> envs, Filter({outer}, conjuncts[0]));
+  for (size_t level = 1; level <= last; ++level) {
+    const FromItem& item = query.froms[level - 1];
     std::vector<Env> next;
     for (const Env& env : envs) {
       PASS_ASSIGN_OR_RETURN(std::vector<Node> nodes, PathNodes(item.path, env));
@@ -309,7 +445,7 @@ Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
         }
       }
     }
-    envs = std::move(next);
+    PASS_ASSIGN_OR_RETURN(envs, Filter(std::move(next), conjuncts[level]));
   }
 
   QueryResult result;
@@ -338,14 +474,14 @@ Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
   std::string root_var =
       query.froms.empty() ? std::string() : query.froms.front().variable;
 
+  std::vector<const Expr*> select_exprs;
+  for (const SelectItem& item : query.selects) {
+    select_exprs.push_back(&item.expr);
+  }
+  Prefetch(envs, select_exprs);
+
   std::set<std::vector<std::string>> seen_rows;
   for (const Env& env : envs) {
-    if (query.where != nullptr) {
-      PASS_ASSIGN_OR_RETURN(bool keep, Truthy(*query.where, env));
-      if (!keep) {
-        continue;
-      }
-    }
     Node root{};
     std::string root_token;
     if (attribute && !root_var.empty()) {

@@ -6,12 +6,18 @@
 namespace pass::pql {
 namespace {
 
+// Deepest AST position the parser accepts. Every node is parsed with the
+// depth it will sit at (an upper bound) and every recursion passes through
+// ParseNot or ParseQueryBody, which check it, so both the parser's recursion
+// and the walks over a parsed AST stay within this many levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<std::unique_ptr<Query>> Parse() {
-    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Query> query, ParseQueryBody());
+    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Query> query, ParseQueryBody(0));
     if (!At(TokenKind::kEnd)) {
       return Fail("trailing input after query");
     }
@@ -48,13 +54,21 @@ class Parser {
                                      message.data(), Peek().offset));
   }
 
-  Result<std::unique_ptr<Query>> ParseQueryBody() {
+  Status CheckDepth(int depth) const {
+    if (depth > kMaxDepth) {
+      return Fail(StrFormat("query nests deeper than %d levels", kMaxDepth));
+    }
+    return Status::Ok();
+  }
+
+  Result<std::unique_ptr<Query>> ParseQueryBody(int depth) {
+    PASS_RETURN_IF_ERROR(CheckDepth(depth));
     auto query = std::make_unique<Query>();
     PASS_RETURN_IF_ERROR(Expect(TokenKind::kSelect));
     // Select list.
     for (;;) {
       SelectItem item;
-      PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> expr, ParseExpr());
+      PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> expr, ParseExpr(depth + 1));
       item.expr = std::move(*expr);
       if (Accept(TokenKind::kAs)) {
         if (!At(TokenKind::kIdent)) {
@@ -91,10 +105,10 @@ class Parser {
       break;
     }
     if (Accept(TokenKind::kWhere)) {
-      PASS_ASSIGN_OR_RETURN(query->where, ParseExpr());
+      PASS_ASSIGN_OR_RETURN(query->where, ParseExpr(depth + 1));
     }
     if (Accept(TokenKind::kUnion)) {
-      PASS_ASSIGN_OR_RETURN(query->union_with, ParseQueryBody());
+      PASS_ASSIGN_OR_RETURN(query->union_with, ParseQueryBody(depth + 1));
     }
     return query;
   }
@@ -140,49 +154,51 @@ class Parser {
   }
 
   // Expression grammar: or -> and -> not -> comparison -> primary.
-  Result<std::unique_ptr<Expr>> ParseExpr() { return ParseOr(); }
-
-  Result<std::unique_ptr<Expr>> ParseOr() {
-    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseAnd());
-    while (Accept(TokenKind::kOr)) {
-      PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseAnd());
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::kBinary;
-      node->op = BinOp::kOr;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
-    }
-    return lhs;
+  Result<std::unique_ptr<Expr>> ParseExpr(int depth) {
+    return ParseChain(depth, BinOp::kOr);
   }
 
-  Result<std::unique_ptr<Expr>> ParseAnd() {
-    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseNot());
-    while (Accept(TokenKind::kAnd)) {
-      PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseNot());
+  // An `or` chain of `and` chains, or an `and` chain of `not` terms. Chains
+  // nest to the right: `a and b and c` is a and (b and c), which evaluates
+  // left to right like the flat chain, and puts the k-th term at depth
+  // depth + k, known while it is parsed.
+  Result<std::unique_ptr<Expr>> ParseChain(int depth, BinOp op) {
+    TokenKind token = op == BinOp::kOr ? TokenKind::kOr : TokenKind::kAnd;
+    std::vector<std::unique_ptr<Expr>> terms;
+    do {
+      int term_depth = depth + static_cast<int>(terms.size()) + 1;
+      PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> term,
+                            op == BinOp::kOr
+                                ? ParseChain(term_depth, BinOp::kAnd)
+                                : ParseNot(term_depth));
+      terms.push_back(std::move(term));
+    } while (Accept(token));
+    std::unique_ptr<Expr> chain = std::move(terms.back());
+    for (size_t i = terms.size() - 1; i-- > 0;) {
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::kBinary;
-      node->op = BinOp::kAnd;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      node->op = op;
+      node->lhs = std::move(terms[i]);
+      node->rhs = std::move(chain);
+      chain = std::move(node);
     }
-    return lhs;
+    return chain;
   }
 
-  Result<std::unique_ptr<Expr>> ParseNot() {
+  Result<std::unique_ptr<Expr>> ParseNot(int depth) {
+    PASS_RETURN_IF_ERROR(CheckDepth(depth));
     if (Accept(TokenKind::kNot)) {
-      PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> inner, ParseNot());
+      PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> inner, ParseNot(depth + 1));
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::kNot;
       node->lhs = std::move(inner);
       return node;
     }
-    return ParseComparison();
+    return ParseComparison(depth);
   }
 
-  Result<std::unique_ptr<Expr>> ParseComparison() {
-    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParsePrimary());
+  Result<std::unique_ptr<Expr>> ParseComparison(int depth) {
+    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParsePrimary(depth + 1));
     BinOp op;
     if (Accept(TokenKind::kEq)) {
       op = BinOp::kEq;
@@ -203,7 +219,7 @@ class Parser {
     } else {
       return lhs;
     }
-    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParsePrimary());
+    PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParsePrimary(depth + 1));
     auto node = std::make_unique<Expr>();
     node->kind = Expr::Kind::kBinary;
     node->op = op;
@@ -212,7 +228,7 @@ class Parser {
     return node;
   }
 
-  Result<std::unique_ptr<Expr>> ParsePrimary() {
+  Result<std::unique_ptr<Expr>> ParsePrimary(int depth) {
     auto node = std::make_unique<Expr>();
     const Token& token = Peek();
     switch (token.kind) {
@@ -267,9 +283,9 @@ class Parser {
         ++pos_;
         PASS_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
         if (At(TokenKind::kSelect)) {
-          PASS_ASSIGN_OR_RETURN(node->subquery, ParseQueryBody());
+          PASS_ASSIGN_OR_RETURN(node->subquery, ParseQueryBody(depth + 1));
         } else {
-          PASS_ASSIGN_OR_RETURN(node->lhs, ParseExpr());
+          PASS_ASSIGN_OR_RETURN(node->lhs, ParseExpr(depth + 1));
         }
         PASS_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
         return node;
@@ -279,9 +295,9 @@ class Parser {
         PASS_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
         node->kind = Expr::Kind::kExists;
         if (At(TokenKind::kSelect)) {
-          PASS_ASSIGN_OR_RETURN(node->subquery, ParseQueryBody());
+          PASS_ASSIGN_OR_RETURN(node->subquery, ParseQueryBody(depth + 1));
         } else {
-          PASS_ASSIGN_OR_RETURN(node->lhs, ParseExpr());
+          PASS_ASSIGN_OR_RETURN(node->lhs, ParseExpr(depth + 1));
         }
         PASS_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
         return node;
@@ -290,11 +306,11 @@ class Parser {
         ++pos_;
         if (At(TokenKind::kSelect)) {
           node->kind = Expr::Kind::kSubquery;
-          PASS_ASSIGN_OR_RETURN(node->subquery, ParseQueryBody());
+          PASS_ASSIGN_OR_RETURN(node->subquery, ParseQueryBody(depth + 1));
           PASS_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
           return node;
         }
-        PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> inner, ParseExpr());
+        PASS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> inner, ParseExpr(depth + 1));
         PASS_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
         return inner;
       }

@@ -137,12 +137,17 @@ TEST_F(CoreSystemTest, ReadvLinksInputToOutput) {
 
 TEST_F(CoreSystemTest, MmapRecordsTheProcessAsInputOnlyWhenWritable) {
   // A read-only mapping makes the file an input of the process; a writable
-  // one also makes the process an input of the file.
+  // one also makes the process an input of the file, and carries what the
+  // process read into the file's ancestry without a later write().
   os::Pid setup = machine_.Spawn("setup");
-  for (const char* path : {"/lib.so", "/shared"}) {
+  for (const char* path : {"/secret", "/lib.so", "/shared"}) {
     ASSERT_TRUE(machine_.kernel().WriteFile(setup, path, "bytes").ok());
   }
   os::Pid mapper = machine_.Spawn("mapper");
+  auto secret = machine_.kernel().Open(mapper, "/secret", os::kOpenRead);
+  ASSERT_TRUE(secret.ok());
+  std::string buf;
+  ASSERT_TRUE(machine_.kernel().Read(mapper, *secret, 5, &buf).ok());
   auto lib = machine_.kernel().Open(mapper, "/lib.so", os::kOpenRead);
   ASSERT_TRUE(lib.ok());
   ASSERT_TRUE(machine_.kernel().Mmap(mapper, *lib, /*writable=*/false).ok());
@@ -150,17 +155,18 @@ TEST_F(CoreSystemTest, MmapRecordsTheProcessAsInputOnlyWhenWritable) {
                                        os::kOpenRead | os::kOpenWrite);
   ASSERT_TRUE(shared.ok());
   ASSERT_TRUE(machine_.kernel().Mmap(mapper, *shared, /*writable=*/true).ok());
-  // The process's own inputs reach the database with its next write.
-  ASSERT_TRUE(machine_.kernel().WriteFile(mapper, "/m.out", "x").ok());
   ASSERT_TRUE(machine_.waldo()->Drain().ok());
 
   EXPECT_EQ(machine_.pass()->observer_stats().mmaps, 2u);
   PnodeId process = machine_.pass()->RefOfPid(mapper).pnode;
+  auto secret_pnodes = machine_.db()->PnodesByName("/secret");
   auto lib_pnodes = machine_.db()->PnodesByName("/lib.so");
+  ASSERT_EQ(secret_pnodes.size(), 1u);
   ASSERT_EQ(lib_pnodes.size(), 1u);
   EXPECT_TRUE(FileDescendsFrom("/shared", process));
+  EXPECT_TRUE(FileDescendsFrom("/shared", secret_pnodes[0]));
+  EXPECT_TRUE(FileDescendsFrom("/shared", lib_pnodes[0]));
   EXPECT_FALSE(FileDescendsFrom("/lib.so", process));
-  EXPECT_TRUE(FileDescendsFrom("/m.out", lib_pnodes[0]));
 }
 
 TEST_F(CoreSystemTest, PipelineFlowsThroughPipe) {

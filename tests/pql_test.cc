@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "src/pql/eval.h"
 #include "src/pql/lexer.h"
 #include "src/pql/parser.h"
 #include "src/pql/provdb_source.h"
+#include "src/util/rng.h"
 #include "src/waldo/provdb.h"
 
 namespace pass::pql {
@@ -89,6 +93,71 @@ TEST(PqlParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery("select x from Provenance.file").ok());  // no 'as'
   EXPECT_FALSE(ParseQuery("from Provenance.file as x").ok());
   EXPECT_FALSE(ParseQuery("select x from Provenance.file as x extra!").ok());
+}
+
+// Deep nesting is a parse error, never a stack overflow: every AST the parser
+// accepts is bounded in depth, and so is every walk over one.
+TEST(PqlParserTest, RejectsNestingDeeperThanTheBound) {
+  auto parse_where = [](const std::string& where) {
+    return ParseQuery("select f from Provenance.file as f where " + where);
+  };
+  const int kParens = 20000;
+  auto parens = parse_where(std::string(kParens, '(') + "f.pnode = 1" +
+                            std::string(kParens, ')'));
+  ASSERT_FALSE(parens.ok());
+  EXPECT_EQ(parens.status().code(), Code::kInvalidArgument);
+
+  std::string nots;
+  for (int i = 0; i < 100000; ++i) {
+    nots += "not ";
+  }
+  auto not_chain = parse_where(nots + "f.pnode = 1");
+  ASSERT_FALSE(not_chain.ok());
+  EXPECT_EQ(not_chain.status().code(), Code::kInvalidArgument);
+
+  std::string terms = "f.pnode = 0";
+  for (int i = 1; i < 100000; ++i) {
+    terms += " and f.pnode = " + std::to_string(i);
+  }
+  auto and_chain = parse_where(terms);
+  ASSERT_FALSE(and_chain.ok());
+  EXPECT_EQ(and_chain.status().code(), Code::kInvalidArgument);
+
+  std::string unions = "select f from Provenance.file as f";
+  for (int i = 0; i < 20000; ++i) {
+    unions += " union select f from Provenance.file as f";
+  }
+  auto union_chain = ParseQuery(unions);
+  ASSERT_FALSE(union_chain.ok());
+  EXPECT_EQ(union_chain.status().code(), Code::kInvalidArgument);
+
+  EXPECT_TRUE(
+      parse_where("((f.pnode = 1 and not (f.pnode = 2)) or f.pnode = 3)").ok());
+}
+
+// The deepest `and` chain and `not` chain the parser accepts still
+// evaluate: the bound keeps the evaluator's recursion within the stack.
+TEST(PqlParserTest, DeepestAcceptedChainsEvaluate) {
+  waldo::ProvDb db;
+  db.Insert({{1, 0}, core::Record::Type("FILE")});
+  ProvDbSource source(&db);
+  Engine engine(&source);
+  const std::string select = "select f from Provenance.file as f where ";
+  std::string deepest_and;
+  for (std::string chain = "f.pnode = 1"; ParseQuery(select + chain).ok();
+       chain += " and f.pnode = 1") {
+    deepest_and = chain;
+  }
+  std::string deepest_not;
+  for (std::string chain = "f.pnode = 1"; ParseQuery(select + chain).ok();
+       chain = "not not " + chain) {
+    deepest_not = chain;
+  }
+  for (const std::string& where : {deepest_and, deepest_not}) {
+    auto result = engine.Run(select + where);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->rows.size(), 1u);
+  }
 }
 
 TEST(PqlParserTest, SubqueryAndAggregates) {
@@ -343,11 +412,13 @@ class CountingSource : public GraphSource {
                                             bool inverse) const override {
     ++follow_many_calls;
     max_follow_batch = std::max(max_follow_batch, nodes.size());
+    followed.insert(nodes.begin(), nodes.end());
     return inner_->FollowMany(nodes, link, inverse);
   }
   std::vector<ValueSet> AttributeMany(const std::vector<Node>& nodes,
                                       const std::string& attr) const override {
     ++attribute_many_calls;
+    ++attribute_calls_by_name[attr];
     return inner_->AttributeMany(nodes, attr);
   }
   bool IsLink(const std::string& name) const override {
@@ -362,6 +433,8 @@ class CountingSource : public GraphSource {
   mutable uint64_t follow_many_calls = 0;
   mutable uint64_t attribute_many_calls = 0;
   mutable size_t max_follow_batch = 0;
+  mutable std::map<std::string, uint64_t> attribute_calls_by_name;
+  mutable std::set<Node> followed;  // every node handed to FollowMany
 
  private:
   const GraphSource* inner_;
@@ -404,6 +477,140 @@ TEST_F(PqlEvalTest, DefaultSingleNodeOpsMatchBatchedCore) {
   for (size_t i = 0; i < nodes.size(); ++i) {
     EXPECT_EQ(follows[i], source_.Follow(nodes[i], "input", false));
     EXPECT_EQ(attrs[i].size(), source_.Attribute(nodes[i], "name").size());
+  }
+}
+
+// A `where` conjunct runs as soon as the FROM item binding its last variable
+// has: the name test picks one root before any closure is walked, and the
+// name of every file is fetched in one batched lookup.
+TEST(PqlPushdownTest, FilteredRootWalksOneClosureAfterOneBatchedLookup) {
+  // Eight independent chains /out<i> <- proc<i> <- /in<i>.
+  waldo::ProvDb db;
+  const int kChains = 8;
+  for (int i = 0; i < kChains; ++i) {
+    core::ObjectRef out{static_cast<core::PnodeId>(3 * i + 1), 0};
+    core::ObjectRef proc{out.pnode + 1, 0};
+    core::ObjectRef in{out.pnode + 2, 0};
+    db.Insert({out, core::Record::Name("/out" + std::to_string(i))});
+    db.Insert({out, core::Record::Type("FILE")});
+    db.Insert({proc, core::Record::Name("proc" + std::to_string(i))});
+    db.Insert({proc, core::Record::Type("PROC")});
+    db.Insert({in, core::Record::Name("/in" + std::to_string(i))});
+    db.Insert({in, core::Record::Type("FILE")});
+    db.Insert({out, core::Record::Input(proc)});
+    db.Insert({proc, core::Record::Input(in)});
+  }
+  ProvDbSource source(&db);
+  CountingSource counting(&source);
+  auto result = Engine(&counting).Run(
+      "select A from Provenance.file as F F.input* as A "
+      "where F.name = \"/out3\"");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->rows.size(), 3u);  // /out3, proc3, /in3
+
+  EXPECT_EQ(counting.attribute_calls_by_name,
+            (std::map<std::string, uint64_t>{{"name", 1}}));
+  // One closure walk: /out3's, one FollowMany per BFS level.
+  EXPECT_EQ(counting.followed,
+            (std::set<Node>{{10, 0}, {11, 0}, {12, 0}}));
+  EXPECT_EQ(counting.follow_many_calls, 3u);
+}
+
+// Differential check of conjunct placement over generated graphs and
+// queries: `where W` must give exactly the rows of `where (W) or
+// <last variable>.pnode < 0`, whose one conjunct can only run after the
+// last FROM item, i.e. where the whole clause ran before placement existed.
+TEST(PqlPushdownTest, PlacedConjunctsMatchWhereAfterTheLastBinding) {
+  const std::vector<std::string> kRootSets = {"file", "process", "object"};
+  const std::vector<std::string> kSteps = {"input",   "input*", "input+",
+                                           "input?",  "~input", "~input*",
+                                           "~input+", "~input?"};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    waldo::ProvDb db;
+    const int objects = static_cast<int>(rng.NextRange(4, 12));
+    for (int i = 1; i <= objects; ++i) {
+      core::ObjectRef ref{static_cast<core::PnodeId>(i), 0};
+      db.Insert({ref, core::Record::Name("n" + std::to_string(i))});
+      db.Insert({ref, core::Record::Type(rng.NextBool() ? "FILE" : "PROC")});
+      db.Insert({ref, core::Record::Annotation(
+                          "tag", static_cast<int64_t>(rng.NextBelow(3)))});
+    }
+    for (int e = static_cast<int>(rng.NextBelow(2 * objects)); e > 0; --e) {
+      core::ObjectRef child{rng.NextRange(1, objects), 0};
+      core::ObjectRef parent{rng.NextRange(1, objects), 0};
+      db.Insert({child, core::Record::Input(parent)});
+    }
+    ProvDbSource source(&db);
+    Engine engine(&source);
+
+    for (int q = 0; q < 25; ++q) {
+      std::vector<std::string> vars;
+      std::string from = "Provenance." +
+                         kRootSets[rng.NextBelow(kRootSets.size())] + " as V0";
+      vars.push_back("V0");
+      for (int i = 1, n = static_cast<int>(rng.NextRange(1, 3)); i < n; ++i) {
+        std::string var = "V" + std::to_string(i);
+        if (rng.NextBool(0.2)) {
+          from += " Provenance." + kRootSets[rng.NextBelow(kRootSets.size())];
+        } else {
+          from += " " + vars[rng.NextBelow(vars.size())] + "." +
+                  kSteps[rng.NextBelow(kSteps.size())];
+        }
+        from += " as " + var;
+        vars.push_back(var);
+      }
+      auto var = [&] { return vars[rng.NextBelow(vars.size())]; };
+      auto atom = [&]() -> std::string {
+        switch (rng.NextBelow(8)) {
+          case 0:
+            return var() + ".name = \"n" +
+                   std::to_string(rng.NextRange(1, objects)) + "\"";
+          case 1:
+            return var() + ".tag < " +
+                   std::to_string(rng.NextBelow(3));
+          case 2:
+            return var() + ".pnode != " + var() + ".pnode";
+          case 3:
+            return var() + ".tag = " + var() + ".tag";
+          case 4:
+            return "exists(" + var() + ".input)";
+          case 5:
+            return "count(" + var() + ".~input*) > 1";
+          case 6:
+            return var() + " in (select X from " + var() + ".input+ as X)";
+          default:
+            return "not " + var() + ".name like \"n1*\"";
+        }
+      };
+      std::string where = atom();
+      for (int c = static_cast<int>(rng.NextBelow(4)); c > 0; --c) {
+        where += rng.NextBool(0.8) ? " and " : " or ";
+        where += rng.NextBool(0.2) ? "(" + atom() + " or " + atom() + ")"
+                                   : atom();
+      }
+      std::string select = var();
+      if (rng.NextBool()) {
+        select += ", " + var() + ".name";
+      }
+      std::string text = "select " + select + " from " + from;
+      auto placed = engine.Run(text + " where " + where);
+      auto at_end = engine.Run(text + " where (" + where + ") or " +
+                               vars.back() + ".pnode < 0");
+      ASSERT_TRUE(placed.ok()) << text << " where " << where;
+      ASSERT_TRUE(at_end.ok()) << text << " where " << where;
+      // Same rows in the same order: survivors keep their relative order.
+      std::vector<std::string> placed_rows;
+      std::vector<std::string> at_end_rows;
+      for (const auto& row : placed->rows) {
+        placed_rows.push_back(RowKey(row));
+      }
+      for (const auto& row : at_end->rows) {
+        at_end_rows.push_back(RowKey(row));
+      }
+      EXPECT_EQ(placed_rows, at_end_rows)
+          << "seed " << seed << ": " << text << " where " << where;
+    }
   }
 }
 
