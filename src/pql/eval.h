@@ -3,7 +3,8 @@
 
 // PQL evaluation (§5.7): path expressions bind variables over the object
 // graph; the where-clause filters binding tuples with Lorel-style
-// existential comparisons; select renders outputs. Closures (*, +, ?) are
+// existential comparisons, each top-level conjunct as soon as the variables
+// it names are bound (docs/PQL.md); select renders outputs. Closures (*, +, ?) are
 // BFS reachability; ~link traverses edges backwards.
 
 #include <map>

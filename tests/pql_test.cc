@@ -531,7 +531,8 @@ TEST(PqlPushdownTest, PlacedConjunctsMatchWhereAfterTheLastBinding) {
     const int objects = static_cast<int>(rng.NextRange(4, 12));
     for (int i = 1; i <= objects; ++i) {
       core::ObjectRef ref{static_cast<core::PnodeId>(i), 0};
-      db.Insert({ref, core::Record::Name("n" + std::to_string(i))});
+      db.Insert({ref, core::Record::Name(std::string("n").append(
+                          std::to_string(i)))});
       db.Insert({ref, core::Record::Type(rng.NextBool() ? "FILE" : "PROC")});
       db.Insert({ref, core::Record::Annotation(
                           "tag", static_cast<int64_t>(rng.NextBelow(3)))});
@@ -550,7 +551,8 @@ TEST(PqlPushdownTest, PlacedConjunctsMatchWhereAfterTheLastBinding) {
                          kRootSets[rng.NextBelow(kRootSets.size())] + " as V0";
       vars.push_back("V0");
       for (int i = 1, n = static_cast<int>(rng.NextRange(1, 3)); i < n; ++i) {
-        std::string var = "V" + std::to_string(i);
+        std::string var = "V";
+        var += std::to_string(i);
         if (rng.NextBool(0.2)) {
           from += " Provenance." + kRootSets[rng.NextBelow(kRootSets.size())];
         } else {
@@ -586,8 +588,15 @@ TEST(PqlPushdownTest, PlacedConjunctsMatchWhereAfterTheLastBinding) {
       std::string where = atom();
       for (int c = static_cast<int>(rng.NextBelow(4)); c > 0; --c) {
         where += rng.NextBool(0.8) ? " and " : " or ";
-        where += rng.NextBool(0.2) ? "(" + atom() + " or " + atom() + ")"
-                                   : atom();
+        if (rng.NextBool(0.2)) {
+          where += "(";
+          where += atom();
+          where += " or ";
+          where += atom();
+          where += ")";
+        } else {
+          where += atom();
+        }
       }
       std::string select = var();
       if (rng.NextBool()) {
